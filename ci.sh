@@ -40,6 +40,24 @@ if [ "${1:-}" != "fast" ]; then
     step cargo run --quiet --release --bin deltapath -- flamegraph --all --check
 fi
 
+# Table 2 gate: the paper's dynamic-characteristics table, regenerated
+# from the suite, must be byte-identical to the committed
+# results/table2.txt. A change to the interpreter, an encoder or
+# ContextStats that moves any figure fails here (about a minute in
+# release; refresh the file deliberately when a figure is meant to move).
+if [ "${1:-}" != "fast" ]; then
+    echo
+    echo "==> table2 vs results/table2.txt"
+    cargo run --quiet --release -p deltapath-bench --bin table2 > target/table2.txt
+    step diff -u results/table2.txt target/table2.txt
+fi
+
+# The end-to-end benchmark (perfbench/, a workspace of its own) builds
+# against the public API: an API change that breaks it fails here.
+if [ "${1:-}" != "fast" ]; then
+    step cargo build --release --offline --manifest-path perfbench/Cargo.toml
+fi
+
 # Encoder hot-path smoke: replay identical hook streams through the
 # map-based, the compiled (table-driven) and the batched (branchless
 # kernel) encoders; the run fails if the compiled encoder is slower than

@@ -440,7 +440,7 @@ impl ContextEncoder for HybridEncoder<'_> {
     }
 
     fn observe(&mut self, at: MethodId) -> Capture {
-        match self.regions.last() {
+        match self.regions.last_mut() {
             Some((v, state)) => Capture::Hybrid {
                 trunk_v: *v,
                 ctx: state.snapshot(at),

@@ -88,7 +88,7 @@ fn snapshot_vs_walk(c: &mut Criterion) {
     let plan = EncodingPlan::analyze(&p, &PlanConfig::default()).expect("plan");
     let mut group = c.benchmark_group("capture");
     group.bench_function("deltapath_snapshot", |b| {
-        let state = DeltaState::start(plan.entry_method());
+        let mut state = DeltaState::start(plan.entry_method());
         b.iter(|| black_box(state.snapshot(plan.entry_method())));
     });
     group.bench_function("stackwalk_20_frames", |b| {

@@ -1,8 +1,13 @@
 //! Encoded calling-context values: the ID plus the runtime stack.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::Deref;
+use std::sync::Arc;
 
 use deltapath_ir::{MethodId, SiteId};
+
+use crate::fasthash::FastHasher;
 
 /// Why a stack element was pushed.
 ///
@@ -39,18 +44,153 @@ pub struct Frame {
     pub saved_id: u64,
 }
 
+/// An immutable encoding stack, bottom first, that carries its structural
+/// hash.
+///
+/// An encoder hands out one shared `FrameStack` for every capture taken
+/// while its stack is unchanged, so a capture costs a reference-count bump
+/// instead of a copy of the frames, and hashing a context costs one word
+/// instead of a walk over its frames. Equality stays structural: stacks
+/// built by different encoders, threads or by hand compare equal (and hash
+/// equal) exactly when their frames are equal.
+///
+/// [`Clone`] copies the frames into a fresh, unshared allocation, so a kept
+/// clone never holds on to storage the encoder shares between captures.
+/// Read the frames through [`Deref`] to `[Frame]`; build a stack from a
+/// `Vec<Frame>` or `&[Frame]` with [`From`].
+pub struct FrameStack {
+    frames: Arc<[Frame]>,
+    hash: u64,
+}
+
+impl FrameStack {
+    /// Whether `a` and `b` are the same shared stack (not merely equal).
+    pub fn ptr_eq(a: &Self, b: &Self) -> bool {
+        Arc::ptr_eq(&a.frames, &b.frames)
+    }
+
+    /// Another handle to the same shared stack: what encoders hand out at
+    /// each capture, unlike the copying [`Clone`].
+    pub(crate) fn share(&self) -> Self {
+        Self {
+            frames: Arc::clone(&self.frames),
+            hash: self.hash,
+        }
+    }
+
+    /// The stack with `frame` pushed on top, as a new allocation; its hash
+    /// extends this stack's hash by one frame.
+    pub(crate) fn pushed(&self, frame: Frame) -> Self {
+        Self {
+            frames: self
+                .frames
+                .iter()
+                .copied()
+                .chain(std::iter::once(frame))
+                .collect(),
+            hash: extend_hash(self.hash, &frame),
+        }
+    }
+
+    /// The address of the shared frames: the identity the intern table keys
+    /// children by.
+    pub(crate) fn addr(&self) -> usize {
+        self.frames.as_ptr() as usize
+    }
+}
+
+/// The structural hash of a stack with `frame` pushed onto a stack hashing
+/// to `hash`. The empty stack hashes to 0, so a stack's hash is the fold of
+/// this function over its frames, bottom first.
+fn extend_hash(hash: u64, frame: &Frame) -> u64 {
+    let mut h = FastHasher::resume(hash);
+    frame.hash(&mut h);
+    h.finish()
+}
+
+impl Default for FrameStack {
+    fn default() -> Self {
+        Self::from(&[][..])
+    }
+}
+
+impl From<&[Frame]> for FrameStack {
+    fn from(frames: &[Frame]) -> Self {
+        Self {
+            frames: Arc::from(frames),
+            hash: frames.iter().fold(0, extend_hash),
+        }
+    }
+}
+
+impl From<Vec<Frame>> for FrameStack {
+    fn from(frames: Vec<Frame>) -> Self {
+        Self::from(frames.as_slice())
+    }
+}
+
+impl Deref for FrameStack {
+    type Target = [Frame];
+
+    fn deref(&self) -> &[Frame] {
+        &self.frames
+    }
+}
+
+impl<'a> IntoIterator for &'a FrameStack {
+    type Item = &'a Frame;
+    type IntoIter = std::slice::Iter<'a, Frame>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.frames.iter()
+    }
+}
+
+impl Clone for FrameStack {
+    /// Copies the frames: the clone shares no storage with `self`.
+    fn clone(&self) -> Self {
+        Self {
+            frames: Arc::from(&*self.frames),
+            hash: self.hash,
+        }
+    }
+}
+
+impl PartialEq for FrameStack {
+    fn eq(&self, other: &Self) -> bool {
+        Self::ptr_eq(self, other) || (self.hash == other.hash && self.frames == other.frames)
+    }
+}
+
+impl Eq for FrameStack {}
+
+impl Hash for FrameStack {
+    /// Writes the cached structural hash: one word, whatever the depth.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+impl fmt::Debug for FrameStack {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.frames.iter()).finish()
+    }
+}
+
 /// A complete encoded calling context: the stack, the current ID, and the
 /// method at which it was captured.
 ///
 /// Two contexts are equal exactly when their encodings are equal; DeltaPath
 /// guarantees (and the test suite verifies) that distinct calling contexts
 /// produce distinct `EncodedContext` values, so this type is directly usable
-/// as a hash-map key for context-sensitive profiling.
+/// as a hash-map key for context-sensitive profiling. Hashing and comparing
+/// a context captured by an encoder takes constant time (see
+/// [`FrameStack`]).
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct EncodedContext {
     /// The encoding stack, bottom first. The bottom frame is the bootstrap
     /// frame for the thread's entry method.
-    pub frames: Vec<Frame>,
+    pub frames: FrameStack,
     /// The current encoding ID (the piece since the top frame).
     pub id: u64,
     /// The method at which the context was captured.
@@ -102,6 +242,7 @@ impl fmt::Display for EncodedContext {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fasthash::fast_hash;
 
     fn ctx() -> EncodedContext {
         EncodedContext {
@@ -124,7 +265,8 @@ mod tests {
                     site: Some(SiteId::from_index(6)),
                     saved_id: 2,
                 },
-            ],
+            ]
+            .into(),
             id: 9,
             at: MethodId::from_index(8),
         }
@@ -146,6 +288,26 @@ mod tests {
         assert!(s.contains("R:m4=2"));
         assert!(s.contains("id=9"));
         assert!(s.contains("@m8"));
+    }
+
+    #[test]
+    fn clone_copies_the_frames() {
+        let c = ctx();
+        let d = c.clone();
+        assert_eq!(c, d);
+        assert!(!FrameStack::ptr_eq(&c.frames, &d.frames));
+        assert_eq!(fast_hash(&c), fast_hash(&d));
+        assert!(FrameStack::ptr_eq(&c.frames, &c.frames.share()));
+    }
+
+    #[test]
+    fn pushed_stack_hashes_like_a_built_one() {
+        let c = ctx();
+        let (top, below) = c.frames.split_last().unwrap();
+        let pushed = FrameStack::from(below).pushed(*top);
+        assert_eq!(pushed, c.frames);
+        assert_eq!(fast_hash(&pushed), fast_hash(&c.frames));
+        assert_ne!(fast_hash(&FrameStack::from(below)), fast_hash(&pushed));
     }
 
     #[test]

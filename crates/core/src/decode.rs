@@ -496,7 +496,8 @@ mod tests {
                 node: p.entry(),
                 site: None,
                 saved_id: 0,
-            }],
+            }]
+            .into(),
             id: 10_000, // way outside every sub-range
             at: leaf,
         };
@@ -511,7 +512,7 @@ mod tests {
         let (p, _) = diamondish();
         let plan = EncodingPlan::analyze(&p, &PlanConfig::default()).unwrap();
         let ctx = EncodedContext {
-            frames: vec![],
+            frames: vec![].into(),
             id: 0,
             at: p.entry(),
         };
@@ -531,7 +532,8 @@ mod tests {
                 node: p.entry(),
                 site: None,
                 saved_id: 0,
-            }],
+            }]
+            .into(),
             id: 0,
             at: MethodId::from_index(999),
         };
@@ -551,7 +553,8 @@ mod tests {
                 node: p.entry(),
                 site: Some(sites[0]),
                 saved_id: 0,
-            }],
+            }]
+            .into(),
             id: 0,
             at: p.entry(),
         };
@@ -668,7 +671,8 @@ mod search_tests {
                     site: Some(main_x_site),
                     saved_id: 0,
                 },
-            ],
+            ]
+            .into(),
             id: 0,
             at: method(&p, "g"),
         };
@@ -716,7 +720,8 @@ mod search_tests {
                     site: Some(main_x_site),
                     saved_id: 0,
                 },
-            ],
+            ]
+            .into(),
             id: av_xa,
             at: method(&p, "a"),
         };

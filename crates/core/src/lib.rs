@@ -72,6 +72,8 @@ mod algo2;
 mod context;
 mod decode;
 mod error;
+mod fasthash;
+mod intern;
 mod pcce;
 mod plan;
 mod plan_compiled;
@@ -85,9 +87,10 @@ mod width;
 
 pub use algo1::Algo1Encoding;
 pub use algo2::{Algo2Config, Encoding};
-pub use context::{EncodedContext, Frame, FrameTag};
+pub use context::{EncodedContext, Frame, FrameStack, FrameTag};
 pub use decode::{DecodeOptions, Decoder};
 pub use error::{DecodeError, EncodeError};
+pub use fasthash::{fast_hash, FastBuildHasher, FastHasher};
 pub use pcce::PcceEncoding;
 pub use plan::{EncodingPlan, EntryInstr, PlanConfig, SiteInstr, TableDigests};
 pub use plan_compiled::{BatchCounts, BatchState, CompiledPlan, EntryWord, HookWord, SiteWord};

@@ -33,9 +33,10 @@
 use deltapath_ir::{MethodId, SiteId};
 
 use crate::context::{EncodedContext, Frame, FrameTag};
+use crate::intern::EncodingStack;
 use crate::plan::{render_instructions, EncodingPlan, EntryInstr, SiteInstr};
 use crate::sid::Sid;
-use crate::state::{ResolvedEntry, ResolvedSite};
+use crate::state::{bootstrap_frame, ResolvedEntry, ResolvedSite};
 
 /// Bit layout shared by both word kinds: the low 32 bits hold a raw SID.
 const SID_MASK: u64 = 0xFFFF_FFFF;
@@ -632,7 +633,7 @@ pub struct BatchState {
     /// The current encoding ID.
     id: u64,
     /// The encoding stack, bootstrap frame included.
-    frames: Vec<Frame>,
+    frames: EncodingStack,
     /// Pending-expectation validity: 0 or 1.
     pend_valid: u64,
     /// Pending site index (meaningful only when `pend_valid == 1`).
@@ -655,12 +656,7 @@ impl BatchState {
     pub fn start(entry: MethodId) -> Self {
         Self {
             id: 0,
-            frames: vec![Frame {
-                tag: FrameTag::Anchor,
-                node: entry,
-                site: None,
-                saved_id: 0,
-            }],
+            frames: EncodingStack::new(bootstrap_frame(entry)),
             pend_valid: 0,
             pend_site: 0,
             pend_expected: 0,
@@ -676,13 +672,7 @@ impl BatchState {
     /// encoder's `thread_start`.
     pub fn restart(&mut self, entry: MethodId) {
         self.id = 0;
-        self.frames.clear();
-        self.frames.push(Frame {
-            tag: FrameTag::Anchor,
-            node: entry,
-            site: None,
-            saved_id: 0,
-        });
+        self.frames.reset(bootstrap_frame(entry));
         self.pend_valid = 0;
         self.pend_site = 0;
         self.pend_expected = 0;
@@ -706,10 +696,12 @@ impl BatchState {
         &self.counts
     }
 
-    /// Captures the current calling context as an encoded value.
-    pub fn snapshot(&self, at: MethodId) -> EncodedContext {
+    /// Captures the current calling context as an encoded value, with the
+    /// stack interned exactly as [`DeltaState::snapshot`](crate::DeltaState::snapshot)
+    /// interns it.
+    pub fn snapshot(&mut self, at: MethodId) -> EncodedContext {
         EncodedContext {
-            frames: self.frames.clone(),
+            frames: self.frames.handle(),
             id: self.id,
             at,
         }
@@ -762,7 +754,7 @@ impl CompiledPlan {
             let raw = w.0;
             let tag = raw >> HookWord::TAG_SHIFT;
             if tag == HOOK_OBSERVE {
-                if let Some(first) = states.first() {
+                if let Some(first) = states.first_mut() {
                     out.push(first.snapshot(MethodId::from_index(
                         (raw & HookWord::OPERAND_MASK) as usize,
                     )));

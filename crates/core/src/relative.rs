@@ -14,7 +14,8 @@
 
 use deltapath_ir::MethodId;
 
-use crate::context::{EncodedContext, Frame};
+use crate::context::{EncodedContext, Frame, FrameStack};
+use crate::intern::EncodingStack;
 
 /// One delta-compressed log entry.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -44,7 +45,7 @@ pub struct RelativeEntry {
 ///     saved_id: 0,
 /// };
 /// let ctx = |frames: Vec<Frame>, id: u64| EncodedContext {
-///     frames,
+///     frames: frames.into(),
 ///     id,
 ///     at: MethodId::from_index(9),
 /// };
@@ -63,7 +64,7 @@ pub struct RelativeEntry {
 pub struct RelativeLog {
     entries: Vec<RelativeEntry>,
     /// The stack of the most recent entry (the delta base).
-    base: Vec<Frame>,
+    base: FrameStack,
     /// Total frames across all pushed contexts, before compression.
     raw_frames: usize,
 }
@@ -75,13 +76,19 @@ impl RelativeLog {
     }
 
     /// Appends a context, storing only its difference from the previous one.
+    /// A context captured on the same shared stack as the previous one (the
+    /// common case: an encoder hands out one handle while its stack is
+    /// unchanged) is recognised without walking its frames.
     pub fn push(&mut self, ctx: &EncodedContext) {
-        let shared = self
-            .base
-            .iter()
-            .zip(&ctx.frames)
-            .take_while(|(a, b)| a == b)
-            .count();
+        let shared = if FrameStack::ptr_eq(&self.base, &ctx.frames) {
+            ctx.frames.len()
+        } else {
+            self.base
+                .iter()
+                .zip(&ctx.frames)
+                .take_while(|(a, b)| a == b)
+                .count()
+        };
         self.entries.push(RelativeEntry {
             shared_frames: shared,
             new_frames: ctx.frames[shared..].to_vec(),
@@ -89,7 +96,7 @@ impl RelativeLog {
             at: ctx.at,
         });
         self.raw_frames += ctx.frames.len();
-        self.base = ctx.frames.clone();
+        self.base = ctx.frames.share();
     }
 
     /// Number of logged contexts.
@@ -131,14 +138,15 @@ impl RelativeLog {
     }
 
     /// Reconstructs the full contexts, in log order (loss-free inverse of
-    /// [`push`](Self::push)).
+    /// [`push`](Self::push)). Stacks are interned as an encoder interns
+    /// them, so consecutive contexts on one stack share it.
     pub fn expand(&self) -> impl Iterator<Item = EncodedContext> + '_ {
-        let mut stack: Vec<Frame> = Vec::new();
+        let mut stack = EncodingStack::default();
         self.entries.iter().map(move |entry| {
             stack.truncate(entry.shared_frames);
             stack.extend_from_slice(&entry.new_frames);
             EncodedContext {
-                frames: stack.clone(),
+                frames: stack.handle(),
                 id: entry.id,
                 at: entry.at,
             }
@@ -170,7 +178,7 @@ mod tests {
 
     fn ctx(frames: Vec<Frame>, id: u64) -> EncodedContext {
         EncodedContext {
-            frames,
+            frames: frames.into(),
             id,
             at: MethodId::from_index(99),
         }

@@ -21,6 +21,7 @@
 use deltapath_ir::{MethodId, SiteId};
 
 use crate::context::{EncodedContext, Frame, FrameTag};
+use crate::intern::EncodingStack;
 use crate::plan::{EncodingPlan, EntryInstr, SiteInstr};
 use crate::sid::Sid;
 
@@ -191,8 +192,18 @@ impl EntryOutcome {
 #[derive(Clone, Debug)]
 pub struct DeltaState {
     id: u64,
-    stack: Vec<Frame>,
+    stack: EncodingStack,
     pending: Option<Pending>,
+}
+
+/// The bootstrap anchor frame of a thread entering the program at `entry`.
+pub(crate) fn bootstrap_frame(entry: MethodId) -> Frame {
+    Frame {
+        tag: FrameTag::Anchor,
+        node: entry,
+        site: None,
+        saved_id: 0,
+    }
 }
 
 impl DeltaState {
@@ -201,14 +212,18 @@ impl DeltaState {
     pub fn start(entry: MethodId) -> Self {
         Self {
             id: 0,
-            stack: vec![Frame {
-                tag: FrameTag::Anchor,
-                node: entry,
-                site: None,
-                saved_id: 0,
-            }],
+            stack: EncodingStack::new(bootstrap_frame(entry)),
             pending: None,
         }
+    }
+
+    /// Resets the state for a new thread entering at `entry`, as
+    /// [`DeltaState::start`] would, but keeps the stacks interned so far:
+    /// captures of the new run share them with the old one's.
+    pub fn restart(&mut self, entry: MethodId) {
+        self.id = 0;
+        self.stack.reset(bootstrap_frame(entry));
+        self.pending = None;
     }
 
     /// The current encoding ID.
@@ -385,9 +400,13 @@ impl DeltaState {
     }
 
     /// Captures the current calling context as an encoded value.
-    pub fn snapshot(&self, at: MethodId) -> EncodedContext {
+    ///
+    /// The context's stack is a shared handle interned by this state (see
+    /// [`FrameStack`](crate::FrameStack)): while the stack is unchanged,
+    /// every capture shares one allocation.
+    pub fn snapshot(&mut self, at: MethodId) -> EncodedContext {
         EncodedContext {
-            frames: self.stack.clone(),
+            frames: self.stack.handle(),
             id: self.id,
             at,
         }
@@ -461,7 +480,7 @@ mod tests {
     #[test]
     fn bootstrap_frame_is_anchor_of_entry() {
         let (p, _) = two_site_program();
-        let st = DeltaState::start(p.entry());
+        let mut st = DeltaState::start(p.entry());
         let ctx = st.snapshot(p.entry());
         assert_eq!(ctx.frames.len(), 1);
         assert_eq!(ctx.frames[0].tag, FrameTag::Anchor);

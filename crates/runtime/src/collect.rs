@@ -2,7 +2,7 @@
 
 use std::collections::HashSet;
 
-use deltapath_core::RelativeLog;
+use deltapath_core::{FastBuildHasher, RelativeLog};
 use deltapath_ir::MethodId;
 use deltapath_telemetry::{names, Telemetry};
 
@@ -141,8 +141,10 @@ pub struct ContextStats {
     pub max_depth: usize,
     /// Sum of true depths (for the average).
     depth_sum: u64,
-    /// Distinct captured values.
-    unique: HashSet<Capture>,
+    /// Distinct captured values, hashed with the keyless `FastHasher`: a
+    /// DeltaPath capture hashes in constant time (its stack carries its
+    /// hash), so a repeated context costs one probe and one compare.
+    unique: HashSet<Capture, FastBuildHasher>,
     /// Maximum DeltaPath stack depth observed.
     pub max_stack_depth: usize,
     /// Sum of DeltaPath stack depths.
@@ -291,7 +293,7 @@ mod tests {
             saved_id: 0,
         };
         Capture::Delta(EncodedContext {
-            frames: vec![frame; depth],
+            frames: vec![frame; depth].into(),
             id,
             at: MethodId::from_index(1),
         })

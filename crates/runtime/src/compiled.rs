@@ -217,7 +217,7 @@ impl ContextEncoder for CompiledDeltaEncoder<'_> {
     type EntryToken = EntryOutcome;
 
     fn thread_start(&mut self, entry: MethodId) {
-        self.state = DeltaState::start(entry);
+        self.state.restart(entry);
     }
 
     #[inline]

@@ -93,7 +93,7 @@ impl ContextEncoder for DeltaEncoder<'_> {
     type EntryToken = EntryOutcome;
 
     fn thread_start(&mut self, entry: MethodId) {
-        self.state = DeltaState::start(entry);
+        self.state.restart(entry);
     }
 
     fn on_call(&mut self, site: SiteId) -> Self::CallToken {

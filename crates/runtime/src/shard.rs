@@ -8,7 +8,7 @@
 //!
 //! * **Striping** — the distinct-capture set is split into `2^k` shards,
 //!   each its own [`ContextStats`] behind its own lock. A capture is
-//!   routed by a deterministic projection hash of the [`Capture`] value,
+//!   routed by a deterministic keyless hash of the [`Capture`] value,
 //!   so *equal captures always land in the same shard*: the per-shard
 //!   sets are disjoint and their union is exactly the sequential set.
 //! * **Batching** — each thread records into a private [`ShardHandle`]
@@ -37,10 +37,10 @@
 //! bench measures against.
 
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
+use deltapath_core::{fast_hash, FastBuildHasher};
 use deltapath_ir::MethodId;
 use deltapath_telemetry::{names, ScopedSpan, Telemetry};
 
@@ -60,132 +60,13 @@ pub const DEFAULT_BATCH: usize = 256;
 /// on every occurrence and deduplicated by the shard set.
 const MEMO_CAPACITY: usize = 1 << 16;
 
-/// A fast keyless multiply-rotate hasher (the Fowler/rustc "Fx" recipe)
-/// for routing and memo probes, both of which sit on the per-event hot
-/// path. Unlike `std`'s SipHash it is not DoS-resistant, which is fine
-/// here: the inputs are the program's own captures, not attacker-chosen
-/// keys, and collisions only cost a full-equality compare. Being keyless
-/// also makes it deterministic — every handle of every collector agrees
-/// on the routing, which the shard-disjointness argument requires.
-#[derive(Default)]
-struct FastHasher {
-    hash: u64,
-}
-
-impl FastHasher {
-    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
-    }
-}
-
-impl Hasher for FastHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.add(u64::from_le_bytes(word));
-        }
-    }
-
-    #[inline]
-    fn write_u8(&mut self, n: u8) {
-        self.add(n as u64);
-    }
-
-    #[inline]
-    fn write_u32(&mut self, n: u32) {
-        self.add(n as u64);
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.add(n);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, n: usize) {
-        self.add(n as u64);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-}
-
-/// Writes a cheap projection of `capture` into `h`. Equal captures
-/// produce equal projections (a pure function of the value), which is all
-/// that routing and the memo's bucket choice need — full [`PartialEq`]
-/// settles collisions. Deliberately skips the frame vector, whose
-/// per-frame hashing would dominate the hot path.
-fn hash_projection(capture: &Capture, h: &mut impl Hasher) {
-    match capture {
-        Capture::Delta(ctx) => {
-            h.write_u8(0);
-            h.write_u64(ctx.id);
-            h.write_usize(ctx.at.index());
-            h.write_usize(ctx.frames.len());
-            if let Some(top) = ctx.frames.last() {
-                h.write_usize(top.node.index());
-                h.write_u64(top.saved_id);
-            }
-        }
-        Capture::Pcc(v) => {
-            h.write_u8(1);
-            h.write_u64(*v);
-        }
-        Capture::Walk(stack) => {
-            h.write_u8(2);
-            h.write_usize(stack.len());
-            if let Some(first) = stack.first() {
-                h.write_usize(first.index());
-            }
-            if let Some(last) = stack.last() {
-                h.write_usize(last.index());
-            }
-        }
-        Capture::CctNode(n) => {
-            h.write_u8(3);
-            h.write_usize(*n);
-        }
-        Capture::Hybrid { trunk_v, ctx } => {
-            h.write_u8(4);
-            h.write_u64(*trunk_v);
-            h.write_u64(ctx.id);
-            h.write_usize(ctx.frames.len());
-        }
-        Capture::None => h.write_u8(5),
-    }
-}
-
-/// The deterministic routing hash ([`FastHasher`] is keyless, so every
-/// handle of every collector agrees on it).
+/// The deterministic routing hash: a capture's own [`Hash`] through the
+/// keyless [`FastHasher`](deltapath_core::FastHasher), so every handle of
+/// every collector agrees on it — which the shard-disjointness argument
+/// requires. A DeltaPath capture hashes in constant time: its stack
+/// carries its structural hash.
 fn route_hash(capture: &Capture) -> u64 {
-    let mut h = FastHasher::default();
-    hash_projection(capture, &mut h);
-    h.finish()
-}
-
-/// Memo key: full-equality [`Capture`] hashed by its cheap projection.
-#[derive(Debug)]
-struct MemoKey(Capture);
-
-impl PartialEq for MemoKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.0 == other.0
-    }
-}
-
-impl Eq for MemoKey {}
-
-impl Hash for MemoKey {
-    fn hash<H: Hasher>(&self, h: &mut H) {
-        hash_projection(&self.0, h);
-    }
+    fast_hash(capture)
 }
 
 #[derive(Debug)]
@@ -359,7 +240,7 @@ pub struct ShardHandle {
     /// Locally accumulated counters (the distinct set stays empty).
     local: ContextStats,
     /// Captures already forwarded, with their memoized derived values.
-    memo: HashMap<MemoKey, Option<(usize, usize, u64)>, BuildHasherDefault<FastHasher>>,
+    memo: HashMap<Capture, Option<(usize, usize, u64)>, FastBuildHasher>,
     /// Events recorded since the last flush.
     pending: u64,
     pending_hits: u64,
@@ -413,15 +294,19 @@ impl ShardHandle {
     /// Memo lookup/registration: returns the capture's derived values and
     /// schedules its delivery if this handle has not forwarded it before.
     fn note(&mut self, capture: Capture) -> Option<(usize, usize, u64)> {
-        let key = MemoKey(capture);
-        if let Some(&derived) = self.memo.get(&key) {
+        if let Some(&derived) = self.memo.get(&capture) {
             self.pending_hits += 1;
-            return derived; // `key` (the repeated capture) drops here
+            return derived; // the repeated capture drops here
         }
-        let derived = delta_parts(&key.0);
-        self.buf.push(key.0.clone());
+        let derived = delta_parts(&capture);
         if self.memo.len() < MEMO_CAPACITY {
-            self.memo.insert(key, derived);
+            // The memo keeps the capture as taken, so later hits on the
+            // encoder's shared stack compare by identity; the shard set
+            // gets a copy.
+            self.buf.push(capture.clone());
+            self.memo.insert(capture, derived);
+        } else {
+            self.buf.push(capture);
         }
         derived
     }
@@ -491,7 +376,7 @@ mod tests {
             saved_id: 0,
         };
         Capture::Delta(EncodedContext {
-            frames: vec![frame; depth],
+            frames: vec![frame; depth].into(),
             id,
             at: MethodId::from_index(1),
         })

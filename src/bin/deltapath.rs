@@ -239,8 +239,11 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let encoder_name = flag(args, "--encoder").unwrap_or_else(|| "deltapath".to_owned());
     let plan_config = PlanConfig::default().with_scope(ScopeFilter::ApplicationOnly);
     let plan = EncodingPlan::analyze(&p, &plan_config).map_err(|e| e.to_string())?;
-    let nocpt = EncodingPlan::analyze(&p, &plan_config.clone().with_cpt(false))
-        .map_err(|e| e.to_string())?;
+    // The no-CPT plan is a second full analysis: only the `-nocpt`
+    // encoders pay for it.
+    let nocpt = || {
+        EncodingPlan::analyze(&p, &plan_config.clone().with_cpt(false)).map_err(|e| e.to_string())
+    };
     let vm_config = VmConfig::default().with_collect(CollectMode::Entries);
 
     let started = std::time::Instant::now();
@@ -258,13 +261,13 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             PccEncoder::from_plan(&plan, PccWidth::Bits32),
         )?,
         "deltapath" => run_one(&p, vm_config, DeltaEncoder::new(&plan))?,
-        "deltapath-nocpt" => run_one(&p, vm_config, DeltaEncoder::new(&nocpt))?,
+        "deltapath-nocpt" => run_one(&p, vm_config, DeltaEncoder::new(&nocpt()?))?,
         "compiled" => {
             let compiled = plan.compile();
             run_one(&p, vm_config, CompiledDeltaEncoder::new(&compiled))?
         }
         "compiled-nocpt" => {
-            let compiled = nocpt.compile();
+            let compiled = nocpt()?.compile();
             run_one(&p, vm_config, CompiledDeltaEncoder::new(&compiled))?
         }
         "batched" => {
@@ -272,7 +275,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             run_one(&p, vm_config, BatchedDeltaEncoder::new(&compiled))?
         }
         "batched-nocpt" => {
-            let compiled = nocpt.compile();
+            let compiled = nocpt()?.compile();
             run_one(&p, vm_config, BatchedDeltaEncoder::new(&compiled))?
         }
         "stackwalk" => run_one(&p, vm_config, StackWalkEncoder::full())?,

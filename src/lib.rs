@@ -104,10 +104,10 @@ pub use deltapath_callgraph::{
     GRAPH_SCHEMA,
 };
 pub use deltapath_core::{
-    parse_plan, render_plan, render_plan_string, BatchCounts, BatchState, CompiledPlan,
+    fast_hash, parse_plan, render_plan, render_plan_string, BatchCounts, BatchState, CompiledPlan,
     DecodeError, DecodeOptions, Decoder, DeltaState, EncodeError, EncodedContext, EncodingPlan,
-    EncodingWidth, Frame, FrameTag, HookWord, ImportedPlan, PlanConfig, PlanParseError, Sid,
-    PLAN_SCHEMA,
+    EncodingWidth, FastBuildHasher, FastHasher, Frame, FrameStack, FrameTag, HookWord,
+    ImportedPlan, PlanConfig, PlanParseError, Sid, PLAN_SCHEMA,
 };
 pub use deltapath_ir::{
     skeleton_program, ArgExpr, ClassId, MethodId, MethodKind, Program, ProgramBuilder, Receiver,

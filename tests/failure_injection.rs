@@ -77,6 +77,15 @@ fn id_bit_flips_never_panic_and_never_misdecode_silently() {
     );
 }
 
+/// `ctx` with its stack replaced by `frames`.
+fn with_frames(ctx: &EncodedContext, frames: Vec<Frame>) -> EncodedContext {
+    EncodedContext {
+        frames: frames.into(),
+        id: ctx.id,
+        at: ctx.at,
+    }
+}
+
 #[test]
 fn stack_corruption_is_rejected_or_changes_the_result() {
     let (_p, plan, contexts) = collected_contexts();
@@ -86,14 +95,16 @@ fn stack_corruption_is_rejected_or_changes_the_result() {
     for ctx in deep.iter().take(50) {
         let original = decoder.decode(ctx).expect("pristine context decodes");
         // Truncate the stack.
-        let mut truncated = (*ctx).clone();
-        truncated.frames.pop();
+        let mut frames = ctx.frames.to_vec();
+        frames.pop();
+        let truncated = with_frames(ctx, frames);
         if let Ok(decoded) = decoder.decode(&truncated) {
             assert_ne!(decoded, original);
         }
         // Swap in a bogus saved id.
-        let mut bogus = (*ctx).clone();
-        bogus.frames.last_mut().unwrap().saved_id = u64::MAX / 3;
+        let mut frames = ctx.frames.to_vec();
+        frames.last_mut().unwrap().saved_id = u64::MAX / 3;
+        let bogus = with_frames(ctx, frames);
         if let Ok(decoded) = decoder.decode(&bogus) {
             assert_ne!(decoded, original);
         }
@@ -106,22 +117,24 @@ fn foreign_frames_are_rejected() {
     let decoder = plan.decoder();
     let ctx = &contexts[0];
     // A frame naming a method that does not exist.
-    let mut foreign = ctx.clone();
-    foreign.frames.push(Frame {
+    let mut frames = ctx.frames.to_vec();
+    frames.push(Frame {
         tag: FrameTag::Anchor,
         node: MethodId::from_index(999_999),
         site: None,
         saved_id: 0,
     });
+    let foreign = with_frames(ctx, frames);
     assert!(decoder.decode(&foreign).is_err());
     // A UCP frame naming a site that does not exist.
-    let mut bad_site = ctx.clone();
-    bad_site.frames.push(Frame {
+    let mut frames = ctx.frames.to_vec();
+    frames.push(Frame {
         tag: FrameTag::Ucp,
         node: ctx.at,
         site: Some(SiteId::from_index(999_999)),
         saved_id: 0,
     });
+    let bad_site = with_frames(ctx, frames);
     assert!(decoder.decode(&bad_site).is_err());
 }
 

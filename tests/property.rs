@@ -164,7 +164,7 @@ fn delta_capture(id: u64, depth: usize) -> Capture {
         saved_id: 0,
     };
     Capture::Delta(EncodedContext {
-        frames: vec![frame; depth],
+        frames: vec![frame; depth].into(),
         id,
         at: MethodId::from_index(1),
     })
