@@ -32,7 +32,7 @@ use std::collections::{HashMap, HashSet};
 
 use deltapath_callgraph::{Analysis, CallGraph, GraphConfig, ScopeFilter};
 use deltapath_core::{
-    DecodeError, DeltaState, EncodeError, EncodingPlan, EntryOutcome, PlanConfig,
+    DecodeError, Decoder, DeltaState, EncodeError, EncodingPlan, EntryOutcome, PlanConfig,
 };
 use deltapath_ir::{MethodId, Program, SiteId};
 use deltapath_runtime::{Capture, Collector, ContextEncoder, OpCounts, Vm, VmConfig};
@@ -467,12 +467,19 @@ impl ContextEncoder for HybridEncoder<'_> {
 pub struct HybridDecoder<'p> {
     plan: &'p HybridPlan,
     dictionary: &'p HybridDictionary,
+    /// One DeltaPath decoder for every capture, so its tables are built
+    /// once and its piece cache carries over between captures.
+    delta: Decoder<'p>,
 }
 
 impl<'p> HybridDecoder<'p> {
     /// Creates a decoder over the plan and a learned dictionary.
     pub fn new(plan: &'p HybridPlan, dictionary: &'p HybridDictionary) -> Self {
-        Self { plan, dictionary }
+        Self {
+            plan,
+            dictionary,
+            delta: plan.delta_plan.decoder(),
+        }
     }
 
     /// Decodes a hybrid capture to the full context.
@@ -497,7 +504,7 @@ impl<'p> HybridDecoder<'p> {
             // Captured inside the trunk itself: the prefix is the context.
             return Ok(out);
         }
-        let suffix = self.plan.delta_plan.decoder().decode(ctx)?;
+        let suffix = self.delta.decode(ctx)?;
         out.extend(suffix);
         Ok(out)
     }

@@ -27,8 +27,12 @@
 //! * `unique_contexts` carries the sampler period so the record is
 //!   self-describing, `max_depth` — deepest replayed entry nesting.
 //!
-//! `--smoke` is the CI overhead gate: tiny repeat counts, and the run
-//! fails if sampling costs more than the 5% budget (worst-case ratio
+//! Each workload's repeat count (`--repeat`, a floor) is raised, from one
+//! untimed calibration replay, until a timed pass lasts at least about
+//! 50 ms: a shorter pass cannot resolve a 5% difference on a noisy host.
+//!
+//! `--smoke` is the CI overhead gate: two rounds instead of four, and the
+//! run fails if sampling costs more than the 5% budget (worst-case ratio
 //! below 0.95x) on any workload.
 
 use std::path::PathBuf;
@@ -106,6 +110,8 @@ fn main() -> ExitCode {
     /// The overhead budget: sampled throughput must stay within 5% of the
     /// un-sampled encoder.
     const BUDGET_RATIO: f64 = 0.95;
+    /// The shortest timed pass, in nanoseconds, that resolves the budget.
+    const MIN_PASS_NS: u64 = 50_000_000;
 
     let recorder = Recorder::new();
     let mut perf = PerfSuite::new("telemetry_overhead");
@@ -120,6 +126,8 @@ fn main() -> ExitCode {
         let harvested = hooks.len();
         hooks.truncate(STREAM_CAP);
         let max_depth = max_entry_depth(&hooks);
+        let (_, replay_ns) = measure(entry, &hooks, 1, 1, || CompiledDeltaEncoder::new(&compiled));
+        let repeat = repeat.max(MIN_PASS_NS.div_ceil(replay_ns.max(1)) as usize);
 
         // Interleave the two configurations round by round and keep each
         // one's best pass: clock-frequency drift between back-to-back

@@ -19,19 +19,25 @@
 //!   cheap in practice). When the UCP entry happens to be an anchor (e.g. a
 //!   scope-filter root), the exact decoder is used instead.
 //!
+//! Both walks run from flat tables that [`Decoder::new`] builds once from
+//! the plan: a dense method-to-node vector and CSR in-edge lists with the
+//! excluded back edges already dropped and each edge's addition value
+//! inlined (DESIGN.md, "Decoding").
+//!
 //! The decoder never fabricates a context: every structural inconsistency
 //! in its input surfaces as a [`DecodeError`].
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::rc::Rc;
+use std::ops::Range;
 
-use deltapath_callgraph::{reachable_from, NodeIx};
+use deltapath_callgraph::{reachable_from_masked, EdgeIx, NodeIx};
 use deltapath_ir::MethodId;
 use deltapath_telemetry::{names, Telemetry};
 
 use crate::context::{EncodedContext, FrameTag};
 use crate::error::DecodeError;
+use crate::fasthash::FastBuildHasher;
 use crate::plan::EncodingPlan;
 
 /// Options controlling the decoder.
@@ -61,41 +67,112 @@ impl Default for DecodeOptions {
     }
 }
 
-/// A decoded piece keyed by `(piece root, piece end, piece id)` — the
-/// complete input of one piece decode, shared out of the cache by `Rc`.
-type PieceCache = HashMap<(NodeIx, NodeIx, u128), Rc<Vec<NodeIx>>>;
+/// One incoming edge as the decoder's walks read it: the edge, its caller
+/// and the addition value of its call site.
+#[derive(Clone, Copy, Debug)]
+struct InEdge {
+    av: u128,
+    edge: EdgeIx,
+    caller: NodeIx,
+}
+
+/// The decoder's mutable state: the piece cache, the reach cache, and the
+/// scratch of the decode in progress.
+#[derive(Debug, Default)]
+struct DecodeState {
+    /// Cached pieces keyed by `(piece root, piece end, piece id)` — the
+    /// complete input of one piece decode — to their range in `arena`.
+    pieces: HashMap<(NodeIx, NodeIx, u128), Range<usize>, FastBuildHasher>,
+    /// Decoded pieces back to back, each outermost method first. The
+    /// first `cached_len` entries hold the cached pieces; the rest are
+    /// pieces of the decode in progress that the cache did not admit.
+    arena: Vec<MethodId>,
+    cached_len: usize,
+    /// The arena range each frame contributes to the decode in progress,
+    /// innermost first.
+    spans: Vec<Range<usize>>,
+    /// Per-root reachability sets for UCP-piece searches.
+    reach: HashMap<NodeIx, Vec<bool>, FastBuildHasher>,
+    hits: u64,
+    misses: u64,
+}
 
 /// A decoder over one [`EncodingPlan`].
 ///
-/// Obtain via [`EncodingPlan::decoder`]. The decoder caches per-root
-/// reachability sets for UCP-piece searches, so reuse one decoder when
-/// decoding many contexts.
+/// Obtain via [`EncodingPlan::decoder`]. Construction builds the decoder's
+/// tables in O(nodes + edges); the decoder then caches decoded pieces and
+/// per-root reachability sets, so reuse one decoder when decoding many
+/// contexts.
 #[derive(Debug)]
 pub struct Decoder<'a> {
     plan: &'a EncodingPlan,
     options: DecodeOptions,
-    reach_cache: RefCell<HashMap<NodeIx, Rc<Vec<bool>>>>,
-    piece_cache: RefCell<PieceCache>,
-    cache_hits: Cell<u64>,
-    cache_misses: Cell<u64>,
+    /// Node of each method, indexed by [`MethodId::index`].
+    node_of: Vec<Option<NodeIx>>,
+    /// CSR in-edge lists without excluded edges: node `n`'s edges are
+    /// `in_edges[in_offsets[n]..in_offsets[n + 1]]`, in edge order.
+    in_offsets: Vec<u32>,
+    in_edges: Vec<InEdge>,
+    /// Excluded edges as a per-edge mask, for reachability searches.
+    excluded: Vec<bool>,
+    state: RefCell<DecodeState>,
 }
 
 impl<'a> Decoder<'a> {
     /// Creates a decoder with the given options.
     pub fn new(plan: &'a EncodingPlan, options: DecodeOptions) -> Self {
+        let graph = plan.graph();
+        let enc = plan.encoding();
+        let methods = graph.nodes().map(|n| graph.method_of(n).index() + 1);
+        let mut node_of = vec![None; methods.max().unwrap_or(0)];
+        for n in graph.nodes() {
+            node_of[graph.method_of(n).index()] = Some(n);
+        }
+        // An excluded edge outside the graph (a corrupt imported plan)
+        // excludes nothing.
+        let mut excluded = vec![false; graph.edge_count()];
+        for e in &enc.excluded {
+            if let Some(x) = excluded.get_mut(e.index()) {
+                *x = true;
+            }
+        }
+        let mut in_offsets = Vec::with_capacity(graph.node_count() + 1);
+        let mut in_edges = Vec::with_capacity(graph.edge_count());
+        in_offsets.push(0);
+        for n in graph.nodes() {
+            for &e in graph.in_edges(n) {
+                if excluded[e.index()] {
+                    continue;
+                }
+                let edge = graph.edge(e);
+                // A plan without an addition value for an edge's site has
+                // nothing to match against it; the walks then report
+                // `NoMatchingEdge` where the edge would have been taken.
+                if let Some(&av) = enc.site_av.get(&edge.site) {
+                    in_edges.push(InEdge {
+                        av,
+                        edge: e,
+                        caller: edge.caller,
+                    });
+                }
+            }
+            in_offsets.push(in_edges.len() as u32);
+        }
         Self {
             plan,
             options,
-            reach_cache: RefCell::new(HashMap::new()),
-            piece_cache: RefCell::new(HashMap::new()),
-            cache_hits: Cell::new(0),
-            cache_misses: Cell::new(0),
+            node_of,
+            in_offsets,
+            in_edges,
+            excluded,
+            state: RefCell::default(),
         }
     }
 
     /// `(hits, misses)` of the piece cache since construction.
     pub fn cache_stats(&self) -> (u64, u64) {
-        (self.cache_hits.get(), self.cache_misses.get())
+        let state = self.state.borrow();
+        (state.hits, state.misses)
     }
 
     /// Emits the piece-cache counters
@@ -105,8 +182,9 @@ impl<'a> Decoder<'a> {
         if !sink.enabled() {
             return;
         }
-        sink.counter_add(names::DECODER_PIECE_CACHE_HITS, self.cache_hits.get());
-        sink.counter_add(names::DECODER_PIECE_CACHE_MISSES, self.cache_misses.get());
+        let (hits, misses) = self.cache_stats();
+        sink.counter_add(names::DECODER_PIECE_CACHE_HITS, hits);
+        sink.counter_add(names::DECODER_PIECE_CACHE_MISSES, misses);
     }
 
     /// Decodes `ctx` into the full method sequence, outermost first.
@@ -121,25 +199,40 @@ impl<'a> Decoder<'a> {
     /// See [`DecodeError`]; corrupted or hand-built inconsistent contexts
     /// are rejected, never mis-decoded.
     pub fn decode(&self, ctx: &EncodedContext) -> Result<Vec<MethodId>, DecodeError> {
-        let graph = self.plan.graph();
         if ctx.frames.is_empty() {
             return Err(DecodeError::EmptyStack);
         }
-        let mut result: Vec<NodeIx> = Vec::new();
+        let mut state = self.state.borrow_mut();
+        let state = &mut *state;
+        state.spans.clear();
+        let result = self.gather(ctx, state).map(|()| {
+            let len = state.spans.iter().map(ExactSizeIterator::len).sum();
+            let mut out = Vec::with_capacity(len);
+            for span in state.spans.iter().rev() {
+                out.extend_from_slice(&state.arena[span.clone()]);
+            }
+            out
+        });
+        state.arena.truncate(state.cached_len);
+        result
+    }
+
+    /// Decodes every piece of `ctx`, innermost first, and records in
+    /// `state.spans` the part of each piece that belongs to the result.
+    fn gather(&self, ctx: &EncodedContext, state: &mut DecodeState) -> Result<(), DecodeError> {
         let mut cur_end = self.node_of(ctx.at)?;
         let mut cur_id = u128::from(ctx.id);
-
         for (i, frame) in ctx.frames.iter().enumerate().rev() {
             let start = self.node_of(frame.node)?;
-            let piece = self.decode_piece(start, cur_end, cur_id)?;
+            let piece = self.decode_piece(state, start, cur_end, cur_id)?;
             let is_bottom = i == 0;
             match frame.tag {
                 FrameTag::Anchor => {
                     if is_bottom {
-                        splice_front(&mut result, &piece);
+                        state.spans.push(piece);
                     } else {
                         // The anchor node is also the end of the piece below.
-                        splice_front(&mut result, &piece[1..]);
+                        state.spans.push(piece.start + 1..piece.end);
                         cur_end = start;
                         cur_id = u128::from(frame.saved_id);
                     }
@@ -152,7 +245,7 @@ impl<'a> Decoder<'a> {
                         .site
                         .ok_or(DecodeError::UnattributedUcp { node: frame.node })?;
                     let instr = self.plan.site(site).ok_or(DecodeError::UnknownSite(site))?;
-                    splice_front(&mut result, &piece);
+                    state.spans.push(piece);
                     cur_end = self.node_of(instr.caller)?;
                     cur_id = u128::from(frame.saved_id)
                         .checked_sub(u128::from(instr.av))
@@ -160,75 +253,85 @@ impl<'a> Decoder<'a> {
                 }
             }
         }
-        Ok(result.into_iter().map(|n| graph.method_of(n)).collect())
+        Ok(())
     }
 
     fn node_of(&self, method: MethodId) -> Result<NodeIx, DecodeError> {
-        self.plan
-            .graph()
-            .node_of(method)
+        self.node_of
+            .get(method.index())
+            .copied()
+            .flatten()
             .ok_or(DecodeError::UnknownMethod(method))
     }
 
-    /// Decodes one piece: the path `start..=end` whose addition values sum
-    /// to `id`. Successful decodes are memoized (a piece's path depends
-    /// only on the immutable plan and the key) so hot contexts replay in
-    /// O(frames) amortized.
+    /// The non-excluded incoming edges of `node`, in edge order.
+    fn in_edges(&self, node: NodeIx) -> &[InEdge] {
+        let i = node.index();
+        &self.in_edges[self.in_offsets[i] as usize..self.in_offsets[i + 1] as usize]
+    }
+
+    /// Decodes one piece — the path `start..=end` whose addition values
+    /// sum to `id` — into `state.arena` and returns its range there.
+    /// Successful decodes are memoized (a piece's path depends only on the
+    /// immutable plan and the key) so hot contexts replay in O(frames)
+    /// amortized.
     fn decode_piece(
         &self,
+        state: &mut DecodeState,
         start: NodeIx,
         end: NodeIx,
         id: u128,
-    ) -> Result<Rc<Vec<NodeIx>>, DecodeError> {
+    ) -> Result<Range<usize>, DecodeError> {
         let key = (start, end, id);
-        if self.options.piece_cache_capacity > 0 {
-            if let Some(piece) = self.piece_cache.borrow().get(&key) {
-                self.cache_hits.set(self.cache_hits.get() + 1);
+        let caching = self.options.piece_cache_capacity > 0;
+        if caching {
+            if let Some(piece) = state.pieces.get(&key) {
+                state.hits += 1;
                 return Ok(piece.clone());
             }
         }
-        self.cache_misses.set(self.cache_misses.get() + 1);
-        let piece = Rc::new(if self.plan.encoding().is_anchor[start.index()] {
-            self.decode_anchor_piece(start, end, id)?
+        state.misses += 1;
+        let from = state.arena.len();
+        if self.plan.encoding().is_anchor[start.index()] {
+            self.decode_anchor_piece(&mut state.arena, start, end, id)?;
         } else {
-            self.decode_search_piece(start, end, id)?
-        });
-        if self.options.piece_cache_capacity > 0 {
-            let mut cache = self.piece_cache.borrow_mut();
-            if cache.len() < self.options.piece_cache_capacity {
-                cache.insert(key, piece.clone());
-            }
+            self.decode_search_piece(state, start, end, id)?;
+        }
+        let piece = from..state.arena.len();
+        // Admission stops for good once the cache is full, so every
+        // admitted piece lies below every piece that was not.
+        if caching && state.pieces.len() < self.options.piece_cache_capacity {
+            state.pieces.insert(key, piece.clone());
+            state.cached_len = piece.end;
         }
         Ok(piece)
     }
 
-    /// Exact greedy decoding within an anchor's territory.
+    /// Exact greedy decoding within an anchor's territory; appends the
+    /// piece to `out`.
     fn decode_anchor_piece(
         &self,
+        out: &mut Vec<MethodId>,
         anchor: NodeIx,
         end: NodeIx,
         id: u128,
-    ) -> Result<Vec<NodeIx>, DecodeError> {
+    ) -> Result<(), DecodeError> {
         let graph = self.plan.graph();
         let enc = self.plan.encoding();
-        let mut path = vec![end];
+        let from = out.len();
+        out.push(graph.method_of(end));
         let mut cur = end;
         let mut v = id;
         while cur != anchor {
-            let mut chosen: Option<(NodeIx, u128)> = None;
-            for &e in graph.in_edges(cur) {
-                if enc.excluded.contains(&e) {
+            let mut chosen: Option<&InEdge> = None;
+            for e in self.in_edges(cur) {
+                if e.av > v || !enc.eanchors[e.edge.index()].contains(&anchor) {
                     continue;
                 }
-                if !enc.eanchors[e.index()].contains(&anchor) {
-                    continue;
-                }
-                let edge = graph.edge(e);
-                let av = enc.edge_av(graph, e);
-                let Some(icc) = enc.icc_of(edge.caller, anchor) else {
+                let Some(icc) = enc.icc_of(e.caller, anchor) else {
                     continue;
                 };
-                if av <= v && v < av.saturating_add(icc) {
+                if v < e.av.saturating_add(icc) {
                     if chosen.is_some() {
                         // The sub-range invariant guarantees disjointness;
                         // two matches mean the plan is corrupt.
@@ -237,18 +340,18 @@ impl<'a> Decoder<'a> {
                             at: graph.method_of(end),
                         });
                     }
-                    chosen = Some((edge.caller, av));
+                    chosen = Some(e);
                 }
             }
-            let Some((pred, av)) = chosen else {
+            let Some(e) = chosen else {
                 return Err(DecodeError::NoMatchingEdge {
                     at: graph.method_of(cur),
                     id: v,
                 });
             };
-            v -= av;
-            cur = pred;
-            path.push(cur);
+            v -= e.av;
+            cur = e.caller;
+            out.push(graph.method_of(cur));
         }
         if v != 0 {
             return Err(DecodeError::NonZeroAtRoot {
@@ -256,134 +359,63 @@ impl<'a> Decoder<'a> {
                 id: v,
             });
         }
-        path.reverse();
-        Ok(path)
+        out[from..].reverse();
+        Ok(())
     }
 
     /// Search decoding for pieces rooted at a non-anchor (hazardous-UCP
     /// entry): counts, with memoization, the paths from `start` to `end`
-    /// whose addition values sum to `id`, and reconstructs the unique one.
+    /// whose addition values sum to `id`, and appends the unique one to
+    /// `state.arena`.
     fn decode_search_piece(
         &self,
+        state: &mut DecodeState,
         start: NodeIx,
         end: NodeIx,
         id: u128,
-    ) -> Result<Vec<NodeIx>, DecodeError> {
+    ) -> Result<(), DecodeError> {
         let graph = self.plan.graph();
-        let enc = self.plan.encoding();
-        let reach = {
-            let mut cache = self.reach_cache.borrow_mut();
-            cache
-                .entry(start)
-                .or_insert_with(|| std::rc::Rc::new(reachable_from(graph, &[start], &enc.excluded)))
-                .clone()
+        let reach = state
+            .reach
+            .entry(start)
+            .or_insert_with(|| reachable_from_masked(graph, &[start], &self.excluded));
+        let mut search = PathSearch {
+            decoder: self,
+            reach,
+            start,
+            memo: HashMap::default(),
+            limit: self.options.search_state_limit,
         };
-        let limit = self.options.search_state_limit;
-        let mut memo: HashMap<(NodeIx, u128), u8> = HashMap::new();
-
-        // Iterative post-order evaluation of count(node, v) = number of
-        // start-to-node paths summing to v, saturated at 2.
-        #[allow(clippy::too_many_arguments)]
-        fn count(
-            graph: &deltapath_callgraph::CallGraph,
-            enc: &crate::algo2::Encoding,
-            reach: &[bool],
-            start: NodeIx,
-            node: NodeIx,
-            v: u128,
-            memo: &mut HashMap<(NodeIx, u128), u8>,
-            limit: usize,
-        ) -> Result<u8, DecodeError> {
-            if node == start {
-                return Ok(u8::from(v == 0));
-            }
-            if let Some(&c) = memo.get(&(node, v)) {
-                return Ok(c);
-            }
-            if memo.len() >= limit {
-                return Err(DecodeError::DepthExceeded { limit });
-            }
-            let mut total: u8 = 0;
-            for &e in graph.in_edges(node) {
-                if enc.excluded.contains(&e) {
-                    continue;
-                }
-                let edge = graph.edge(e);
-                if !reach[edge.caller.index()] {
-                    continue;
-                }
-                let av = enc.edge_av(graph, e);
-                if av > v {
-                    continue;
-                }
-                total = total
-                    .saturating_add(count(
-                        graph,
-                        enc,
-                        reach,
-                        start,
-                        edge.caller,
-                        v - av,
-                        memo,
-                        limit,
-                    )?)
-                    .min(2);
-                if total >= 2 {
-                    break;
-                }
-            }
-            memo.insert((node, v), total);
-            Ok(total)
-        }
-
-        let total = count(graph, enc, &reach, start, end, id, &mut memo, limit)?;
-        match total {
+        match search.count(end, id)? {
             0 => Err(DecodeError::NoMatchingEdge {
                 at: graph.method_of(end),
                 id,
             }),
             1 => {
                 // Reconstruct by following the unique contributing edge.
-                let mut path = vec![end];
+                let out = &mut state.arena;
+                let from = out.len();
+                out.push(graph.method_of(end));
                 let mut cur = end;
                 let mut v = id;
                 while cur != start {
-                    let mut next: Option<(NodeIx, u128)> = None;
-                    for &e in graph.in_edges(cur) {
-                        if enc.excluded.contains(&e) {
+                    let mut next = None;
+                    for e in self.in_edges(cur) {
+                        if e.av > v || !search.reach[e.caller.index()] {
                             continue;
                         }
-                        let edge = graph.edge(e);
-                        if !reach[edge.caller.index()] {
-                            continue;
-                        }
-                        let av = enc.edge_av(graph, e);
-                        if av > v {
-                            continue;
-                        }
-                        let c = count(
-                            graph,
-                            enc,
-                            &reach,
-                            start,
-                            edge.caller,
-                            v - av,
-                            &mut memo,
-                            limit,
-                        )?;
-                        if c >= 1 {
-                            next = Some((edge.caller, av));
+                        if search.count(e.caller, v - e.av)? >= 1 {
+                            next = Some(e);
                             break;
                         }
                     }
-                    let (pred, av) =
-                        next.expect("count==1 guarantees a contributing edge at every step");
-                    v -= av;
-                    cur = pred;
-                    path.push(cur);
+                    let e = next.expect("count==1 guarantees a contributing edge at every step");
+                    v -= e.av;
+                    cur = e.caller;
+                    out.push(graph.method_of(cur));
                 }
-                path.reverse();
-                Ok(path)
+                out[from..].reverse();
+                Ok(())
             }
             _ => Err(DecodeError::Ambiguous {
                 root: graph.method_of(start),
@@ -393,12 +425,43 @@ impl<'a> Decoder<'a> {
     }
 }
 
-/// Prepends `piece` to `result`.
-fn splice_front(result: &mut Vec<NodeIx>, piece: &[NodeIx]) {
-    let mut new = Vec::with_capacity(piece.len() + result.len());
-    new.extend_from_slice(piece);
-    new.append(result);
-    *result = new;
+/// One memoized backward path search of a UCP piece.
+struct PathSearch<'d, 'a> {
+    decoder: &'d Decoder<'a>,
+    /// Nodes reachable from `start` over non-excluded edges.
+    reach: &'d [bool],
+    start: NodeIx,
+    /// `(node, v)` → number of `start`-to-`node` paths summing to `v`.
+    memo: HashMap<(NodeIx, u128), u8, FastBuildHasher>,
+    limit: usize,
+}
+
+impl PathSearch<'_, '_> {
+    /// The number of `start`-to-`node` paths whose addition values sum to
+    /// `v`, saturated at 2.
+    fn count(&mut self, node: NodeIx, v: u128) -> Result<u8, DecodeError> {
+        if node == self.start {
+            return Ok(u8::from(v == 0));
+        }
+        if let Some(&c) = self.memo.get(&(node, v)) {
+            return Ok(c);
+        }
+        if self.memo.len() >= self.limit {
+            return Err(DecodeError::DepthExceeded { limit: self.limit });
+        }
+        let mut total: u8 = 0;
+        for e in self.decoder.in_edges(node) {
+            if !self.reach[e.caller.index()] || e.av > v {
+                continue;
+            }
+            total = total.saturating_add(self.count(e.caller, v - e.av)?).min(2);
+            if total >= 2 {
+                break;
+            }
+        }
+        self.memo.insert((node, v), total);
+        Ok(total)
+    }
 }
 
 #[cfg(test)]

@@ -2,7 +2,8 @@
 //!
 //! Captures are hashed on the per-event hot path: by the distinct-context
 //! set of `ContextStats`, by the sharded collector's router and memo, and
-//! by the encoding-stack intern table. All of them use [`FastHasher`].
+//! by the encoding-stack intern table. All of them use [`FastHasher`], as
+//! do the decoder's piece cache, search memo and reach cache.
 
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
@@ -61,6 +62,12 @@ impl Hasher for FastHasher {
     #[inline]
     fn write_u64(&mut self, n: u64) {
         self.add(n);
+    }
+
+    #[inline]
+    fn write_u128(&mut self, n: u128) {
+        self.add(n as u64);
+        self.add((n >> 64) as u64);
     }
 
     #[inline]

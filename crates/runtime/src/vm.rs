@@ -111,7 +111,8 @@ pub struct RunStats {
     pub dynamic_loads: u64,
     /// Deepest dynamic call depth reached.
     pub max_call_depth: usize,
-    /// Number of `Observe` statements executed.
+    /// Number of `Observe` statements executed (in every mode, also
+    /// [`CollectMode::Nothing`], which captures none of them).
     pub observes: u64,
     /// Number of entry captures recorded (in [`CollectMode::Entries`]).
     pub entries_collected: u64,
@@ -372,8 +373,10 @@ impl<'p> Vm<'p> {
                     }
                 }
                 Stmt::Observe(event) => {
-                    let capture = encoder.observe(method);
-                    collector.record_observe(*event, method, capture);
+                    if self.config.collect != CollectMode::Nothing {
+                        let capture = encoder.observe(method);
+                        collector.record_observe(*event, method, capture);
+                    }
                     self.stats.observes += 1;
                 }
             }
@@ -431,7 +434,7 @@ impl<'p> Vm<'p> {
 mod tests {
     use super::*;
     use crate::collect::{ContextStats, EventLog, NullCollector};
-    use crate::encoder::Capture;
+    use crate::encoder::{Capture, OpCounts};
     use crate::encoders::{NullEncoder, StackWalkEncoder};
     use deltapath_ir::{MethodKind, ProgramBuilder};
 
@@ -476,6 +479,73 @@ mod tests {
         assert_eq!(*event, 1);
         assert_eq!(*method, p.entry());
         assert_eq!(*capture, Capture::Walk(vec![p.entry()].into()));
+    }
+
+    /// Counts `observe` calls; every other hook does nothing.
+    #[derive(Default)]
+    struct CountingEncoder {
+        observes: u64,
+    }
+
+    impl ContextEncoder for CountingEncoder {
+        type CallToken = ();
+        type EntryToken = ();
+
+        fn thread_start(&mut self, _entry: MethodId) {}
+        fn on_call(&mut self, _site: SiteId) {}
+        fn on_return(&mut self, _site: SiteId, _token: ()) {}
+        fn on_entry(&mut self, _method: MethodId, _via_site: Option<SiteId>) {}
+        fn on_exit(&mut self, _method: MethodId, _token: ()) {}
+
+        fn observe(&mut self, _at: MethodId) -> Capture {
+            self.observes += 1;
+            Capture::None
+        }
+
+        fn counts(&self) -> OpCounts {
+            OpCounts::default()
+        }
+
+        fn name(&self) -> &'static str {
+            "counting"
+        }
+    }
+
+    /// Counts every record the VM hands over.
+    #[derive(Default)]
+    struct CountingCollector {
+        entries: u64,
+        observes: u64,
+    }
+
+    impl Collector for CountingCollector {
+        fn record_entry(&mut self, _method: MethodId, _true_depth: usize, _capture: Capture) {
+            self.entries += 1;
+        }
+
+        fn record_observe(&mut self, _event: u32, _method: MethodId, _capture: Capture) {
+            self.observes += 1;
+        }
+    }
+
+    #[test]
+    fn nothing_mode_captures_nothing_but_counts_observes() {
+        let p = looping_program();
+        for (mode, captures, entries) in [
+            (CollectMode::Nothing, 0, 0),
+            (CollectMode::ObservesOnly, 1, 0),
+            (CollectMode::Entries, 12, 11),
+        ] {
+            let mut vm = Vm::new(&p, VmConfig::default().with_collect(mode));
+            let mut encoder = CountingEncoder::default();
+            let mut collector = CountingCollector::default();
+            let stats = vm.run(&mut encoder, &mut collector).unwrap();
+            assert_eq!(stats.observes, 1, "{mode:?}");
+            assert_eq!(stats.entries_collected, entries, "{mode:?}");
+            assert_eq!(encoder.observes, captures, "{mode:?}");
+            assert_eq!(collector.observes, captures - entries, "{mode:?}");
+            assert_eq!(collector.entries, entries, "{mode:?}");
+        }
     }
 
     #[test]

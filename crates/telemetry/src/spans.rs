@@ -423,6 +423,11 @@ impl FoldedStacks {
         }
     }
 
+    /// The weight of the stack `path`, if it was recorded.
+    pub fn get(&self, path: &str) -> Option<u64> {
+        self.stacks.get(path).copied()
+    }
+
     /// Sorted `(stack, weight)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
         self.stacks.iter().map(|(p, &w)| (p.as_str(), w))
@@ -843,6 +848,8 @@ mod tests {
         let parsed = FoldedStacks::parse(&text).expect("round trip");
         assert_eq!(parsed, f);
         assert_eq!(parsed.total(), 157);
+        assert_eq!(parsed.get("main;vm.run"), Some(150));
+        assert_eq!(parsed.get("main;vm"), None);
 
         assert!(FoldedStacks::parse("no-weight\n").is_err());
         assert!(FoldedStacks::parse(" 12\n").is_err());

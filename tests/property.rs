@@ -14,9 +14,8 @@ use common::compare_against_ground_truth;
 use deltapath::core::verify::verify_plan;
 use deltapath::workloads::synthetic::{generate, SyntheticConfig};
 use deltapath::{
-    Analysis, Capture, CollectMode, Collector, ContextStats, DecodeOptions, Decoder, DeltaEncoder,
-    EncodedContext, EncodingPlan, EncodingWidth, EventLog, Frame, FrameTag, MethodId, PlanConfig,
-    ScopeFilter, ShardedCollector, Vm, VmConfig,
+    Analysis, Capture, Collector, ContextStats, EncodedContext, EncodingPlan, EncodingWidth, Frame,
+    FrameTag, MethodId, PlanConfig, ScopeFilter, ShardedCollector,
 };
 use proptest::prelude::*;
 
@@ -228,52 +227,6 @@ proptest! {
         // the relative log collected exactly as many contexts.
         prop_assert_eq!(relative.log.len() as u64, merged.total_contexts);
         prop_assert_eq!(relative.skipped, 0);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 12,
-        ..ProptestConfig::default()
-    })]
-
-    /// The memoized piece cache is transparent: decoding every captured
-    /// context through a caching decoder — twice, so the second pass runs
-    /// hot — yields exactly the contexts an uncached decoder produces.
-    #[test]
-    fn decode_cache_hits_equal_uncached_decode(config in closed_world_configs()) {
-        let program = generate(&config);
-        let plan = EncodingPlan::analyze(&program, &PlanConfig::default())
-            .expect("plan analysis");
-        let mut vm = Vm::new(
-            &program,
-            VmConfig::default().with_collect(CollectMode::ObservesOnly),
-        );
-        let mut log = EventLog::default();
-        vm.run(&mut DeltaEncoder::new(&plan), &mut log).expect("run");
-
-        let cached = plan.decoder();
-        let uncached = Decoder::new(&plan, DecodeOptions {
-            piece_cache_capacity: 0,
-            ..DecodeOptions::default()
-        });
-        for _pass in 0..2 {
-            for (_, _, capture) in &log.events {
-                let Capture::Delta(ctx) = capture else { unreachable!() };
-                prop_assert_eq!(
-                    cached.decode(ctx).expect("cached decode"),
-                    uncached.decode(ctx).expect("uncached decode")
-                );
-            }
-        }
-        let (hits, misses) = cached.cache_stats();
-        let (u_hits, _) = uncached.cache_stats();
-        prop_assert_eq!(u_hits, 0);
-        // If the first pass touched any piece, the second pass must have
-        // served it from the cache.
-        if misses > 0 {
-            prop_assert!(hits > 0);
-        }
     }
 }
 
