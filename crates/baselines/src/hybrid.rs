@@ -32,7 +32,8 @@ use std::collections::{HashMap, HashSet};
 
 use deltapath_callgraph::{Analysis, CallGraph, GraphConfig, ScopeFilter};
 use deltapath_core::{
-    DecodeError, Decoder, DeltaState, EncodeError, EncodingPlan, EntryOutcome, PlanConfig,
+    DecodeError, Decoder, DeltaState, EncodeError, EncodingPlan, EntryOutcome, HookTables,
+    PlanConfig,
 };
 use deltapath_ir::{MethodId, Program, SiteId};
 use deltapath_runtime::{Capture, Collector, ContextEncoder, OpCounts, Vm, VmConfig};
@@ -370,14 +371,9 @@ impl ContextEncoder for HybridEncoder<'_> {
             return HybridCallToken::TrunkHash(saved);
         }
         if let Some((_, state)) = self.regions.last_mut() {
-            if let Some(instr) = self.plan.delta_plan.site(site) {
-                if instr.encoded {
-                    self.counts.adds += 1;
-                }
-                if self.plan.delta_plan.config().cpt {
-                    self.counts.pending_saves += 1;
-                }
-                return HybridCallToken::Delta(state.on_call(&self.plan.delta_plan, site));
+            if let Some(r) = self.plan.delta_plan.resolve_site(site) {
+                self.counts.delta_call(&r);
+                return HybridCallToken::Delta(state.on_call_resolved(site, r));
             }
         }
         HybridCallToken::Nothing
@@ -388,7 +384,7 @@ impl ContextEncoder for HybridEncoder<'_> {
             HybridCallToken::TrunkHash(saved) => self.v = saved,
             HybridCallToken::Delta(t) => {
                 if let Some((_, state)) = self.regions.last_mut() {
-                    self.counts.subs += 1;
+                    self.counts.delta_return(&t);
                     state.on_return(t);
                 }
             }
@@ -407,17 +403,11 @@ impl ContextEncoder for HybridEncoder<'_> {
             return HybridEntryToken::Boundary;
         }
         let (_, state) = self.regions.last_mut().expect("delta region active");
-        if self.plan.delta_plan.entry(method).is_none() {
+        let Some((via, r)) = self.plan.delta_plan.resolve_entry(method, via_site) else {
             return HybridEntryToken::Delta(EntryOutcome::Plain);
-        }
-        if self.plan.delta_plan.config().cpt {
-            self.counts.sid_checks += 1;
-        }
-        let via = via_site.filter(|&s| self.plan.delta_plan.site(s).is_some());
-        let outcome = state.on_entry(&self.plan.delta_plan, method, via);
-        if outcome.pushed() {
-            self.counts.pushes += 1;
-        }
+        };
+        let outcome = state.on_entry_resolved(method, via, r);
+        self.counts.delta_entry(&r, outcome);
         HybridEntryToken::Delta(outcome)
     }
 
@@ -429,9 +419,7 @@ impl ContextEncoder for HybridEncoder<'_> {
                 self.regions.pop();
             }
             HybridEntryToken::Delta(outcome) => {
-                if outcome.pushed() {
-                    self.counts.pops += 1;
-                }
+                self.counts.delta_exit(outcome);
                 if let Some((_, state)) = self.regions.last_mut() {
                     state.on_exit(outcome);
                 }
@@ -662,6 +650,79 @@ mod tests {
         // caller/callee/location triples): 3 distinct trunk site-paths, each
         // captured once inside the trunk and once at the cold leaf.
         assert_eq!(unique.len(), 6);
+    }
+
+    /// `main → a → b → t` with trunk `{main, t}`: `a` opens a DeltaPath
+    /// region, `b` is a plain entry in it, and the call into `t` leaves it
+    /// through a site the region plan holds but does not encode. Minimal
+    /// call-path tracking also leaves `a → b` untracked and `b` unchecked.
+    #[test]
+    fn delta_region_counts_follow_the_resolved_bits() {
+        let mut b = ProgramBuilder::new("hybrid-counts");
+        let c = b.add_class("C", None);
+        b.method(c, "t", MethodKind::Static).finish();
+        b.method(c, "b", MethodKind::Static)
+            .body(|f| {
+                f.call(c, "t");
+            })
+            .finish();
+        b.method(c, "a", MethodKind::Static)
+            .body(|f| {
+                f.call(c, "b");
+            })
+            .finish();
+        let main = b
+            .method(c, "main", MethodKind::Static)
+            .body(|f| {
+                f.call(c, "a");
+            })
+            .finish();
+        b.entry(main);
+        let p = b.finish().unwrap();
+        let site_of = |caller: &str| {
+            let caller = method(&p, caller);
+            p.sites()
+                .iter()
+                .find(|s| s.caller() == caller)
+                .unwrap()
+                .id()
+        };
+        let (ab, bt) = (site_of("a"), site_of("b"));
+
+        for config in [
+            PlanConfig::default(),
+            PlanConfig::default().with_cpt_minimal(),
+        ] {
+            let trunk: HashSet<MethodId> = [main, method(&p, "t")].into_iter().collect();
+            let plan = HybridPlan::analyze(&p, trunk, &config).unwrap();
+            let mut enc = HybridEncoder::new(&plan);
+            Vm::new(&p, VmConfig::default())
+                .run(&mut enc, &mut EventLog::default())
+                .unwrap();
+            let counts = enc.counts();
+            assert_eq!(counts.adds, counts.subs, "{counts:?}");
+            assert_eq!(counts.pushes, counts.pops, "{counts:?}");
+
+            let delta = plan.delta_plan();
+            let (r_ab, r_bt) = (
+                delta.resolve_site(ab).unwrap(),
+                delta.resolve_site(bt).unwrap(),
+            );
+            let (_, r_b) = delta.resolve_entry(method(&p, "b"), Some(ab)).unwrap();
+            assert!(
+                !r_bt.encoded,
+                "the trunk re-entry site carries no arithmetic"
+            );
+            assert_eq!(
+                counts.adds,
+                u64::from(r_ab.encoded) + u64::from(r_bt.encoded)
+            );
+            assert_eq!(
+                counts.pending_saves,
+                u64::from(r_ab.save_pending) + u64::from(r_bt.save_pending)
+            );
+            assert_eq!(counts.sid_checks, u64::from(r_b.do_check));
+        }
     }
 
     #[test]

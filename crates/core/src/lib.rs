@@ -100,5 +100,5 @@ pub use plan_io::{
 pub use pruned::prune_to_targets;
 pub use relative::{RelativeEntry, RelativeLog};
 pub use sid::{Sid, SidTable};
-pub use state::{CallToken, DeltaState, EntryOutcome, ResolvedEntry, ResolvedSite};
+pub use state::{CallToken, DeltaState, EntryOutcome, HookTables, ResolvedEntry, ResolvedSite};
 pub use width::EncodingWidth;

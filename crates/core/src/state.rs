@@ -13,6 +13,12 @@
 //! * [`DeltaState::on_return`] — caller side, after the call returns:
 //!   `ID -= av`, restore the pending expectation.
 //!
+//! The hooks read their instructions through [`HookTables`]: the plan's
+//! maps (the reference oracle of the lowering) or a
+//! [`CompiledPlan`](crate::CompiledPlan)'s dense words (the deployment
+//! form). Both resolve to the same [`ResolvedSite`] / [`ResolvedEntry`],
+//! so the state machine and the entry-side rules exist once.
+//!
 //! The pending expectation is saved *around* each call (the token returned
 //! by `on_call` is restored by `on_return`), which models keeping it in the
 //! caller's native frame. This is what keeps the expectation exact even when
@@ -22,13 +28,14 @@ use deltapath_ir::{MethodId, SiteId};
 
 use crate::context::{EncodedContext, Frame, FrameTag};
 use crate::intern::EncodingStack;
-use crate::plan::{EncodingPlan, EntryInstr, SiteInstr};
+use crate::plan::EncodingPlan;
 use crate::sid::Sid;
 
-/// A [`SiteInstr`] resolved against the plan configuration: everything the
-/// caller-side hooks need, with the config conditionals (`cpt && tracked`)
-/// already folded in so the hot path branches on plain booleans. This is
-/// the unpacked form of a [`CompiledPlan`](crate::CompiledPlan) site word.
+/// A [`SiteInstr`](crate::SiteInstr) resolved against the plan
+/// configuration: everything the caller-side hooks need, with the config
+/// conditionals (`cpt && tracked`) already folded in so the hot path
+/// branches on plain booleans. This is the unpacked form of a
+/// [`CompiledPlan`](crate::CompiledPlan) site word.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ResolvedSite {
     /// The site's addition value.
@@ -42,22 +49,10 @@ pub struct ResolvedSite {
     pub save_pending: bool,
 }
 
-impl ResolvedSite {
-    /// Resolves a site instruction under a call-path-tracking mode.
-    pub fn of(instr: &SiteInstr, cpt: bool) -> Self {
-        Self {
-            av: instr.av,
-            encoded: instr.encoded,
-            expected_sid: instr.expected_sid,
-            save_pending: cpt && instr.tracked,
-        }
-    }
-}
-
-/// An [`EntryInstr`] resolved against the plan configuration and the
-/// dispatching call site: the config conditionals (`cpt && check_sid`) and
-/// the back-edge classification of the `(site, method)` pair are folded in
-/// before the state machine runs.
+/// An [`EntryInstr`](crate::EntryInstr) resolved against the plan
+/// configuration and the dispatching call site: the config conditionals
+/// (`cpt && check_sid`) and the back-edge classification of the
+/// `(site, method)` pair are folded in before the state machine runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ResolvedEntry {
     /// The method's SID.
@@ -71,16 +66,97 @@ pub struct ResolvedEntry {
     pub back_edge: bool,
 }
 
-impl ResolvedEntry {
-    /// Resolves an entry instruction under a call-path-tracking mode and a
-    /// back-edge classification of the incoming call.
-    pub fn of(instr: &EntryInstr, cpt: bool, back_edge: bool) -> Self {
-        Self {
+/// Where the hooks read their instructions from. Implemented by
+/// [`EncodingPlan`] (hash-map probes: the reference oracle of the
+/// lowering, cross-checked by the `DP040` audit) and by
+/// [`CompiledPlan`](crate::CompiledPlan) (one array load per hook).
+/// [`DeltaState::on_call`] / [`DeltaState::on_entry`] and the runtime's
+/// `DeltaEncoder` are generic over it, so the via-site filter and the
+/// back-edge rule live in [`HookTables::resolve_entry`] alone.
+pub trait HookTables {
+    /// The program's entry method.
+    fn entry_method(&self) -> MethodId;
+
+    /// The name an encoder over these tables reports (it tells the plan
+    /// form and the CPT mode apart).
+    fn encoder_name(&self) -> &'static str;
+
+    /// The dense table footprint in bytes, for a form that has one.
+    fn table_bytes(&self) -> Option<usize> {
+        None
+    }
+
+    /// The instruction of `site`, resolved; `None` when the site is
+    /// uninstrumented.
+    fn resolve_site(&self, site: SiteId) -> Option<ResolvedSite>;
+
+    /// The entry instruction of `method`, resolved as if reached without a
+    /// back edge; `None` when the method is uninstrumented.
+    fn resolve_method(&self, method: MethodId) -> Option<ResolvedEntry>;
+
+    /// `None` when `site` is uninstrumented; otherwise whether dispatching
+    /// it to `callee` takes a recursion back edge.
+    fn back_edge_via(&self, site: SiteId, callee: MethodId) -> Option<bool>;
+
+    /// The entry of `method` dispatched through `via_site`, resolved:
+    /// `None` for an uninstrumented method, else the via site and the
+    /// entry with its back-edge classification.
+    ///
+    /// Only an instrumented site counts as "via": a site in an
+    /// uninstrumented caller has no injected code, so the entry sees only
+    /// the thread-local expectation.
+    #[inline]
+    fn resolve_entry(
+        &self,
+        method: MethodId,
+        via_site: Option<SiteId>,
+    ) -> Option<(Option<SiteId>, ResolvedEntry)> {
+        let mut entry = self.resolve_method(method)?;
+        let via = via_site.filter(|&site| match self.back_edge_via(site, method) {
+            Some(back_edge) => {
+                entry.back_edge = back_edge;
+                true
+            }
+            None => false,
+        });
+        Some((via, entry))
+    }
+}
+
+impl HookTables for EncodingPlan {
+    fn entry_method(&self) -> MethodId {
+        EncodingPlan::entry_method(self)
+    }
+
+    fn encoder_name(&self) -> &'static str {
+        if self.config().cpt {
+            "deltapath"
+        } else {
+            "deltapath-nocpt"
+        }
+    }
+
+    fn resolve_site(&self, site: SiteId) -> Option<ResolvedSite> {
+        self.site(site).map(|instr| ResolvedSite {
+            av: instr.av,
+            encoded: instr.encoded,
+            expected_sid: instr.expected_sid,
+            save_pending: self.config().cpt && instr.tracked,
+        })
+    }
+
+    fn resolve_method(&self, method: MethodId) -> Option<ResolvedEntry> {
+        self.entry(method).map(|instr| ResolvedEntry {
             sid: instr.sid,
             is_anchor: instr.is_anchor,
-            do_check: cpt && instr.check_sid,
-            back_edge,
-        }
+            do_check: self.config().cpt && instr.check_sid,
+            back_edge: false,
+        })
+    }
+
+    fn back_edge_via(&self, site: SiteId, callee: MethodId) -> Option<bool> {
+        self.site(site)
+            .map(|_| self.is_back_edge_call(site, callee))
     }
 }
 
@@ -237,13 +313,12 @@ impl DeltaState {
     }
 
     /// Caller-side hook, before the call at `site` is dispatched; resolves
-    /// the site against `plan` and delegates to
-    /// [`DeltaState::on_call_resolved`]. This is the map-probing reference
-    /// path; table-driven encoders resolve through a
-    /// [`CompiledPlan`](crate::CompiledPlan) instead.
-    pub fn on_call(&mut self, plan: &EncodingPlan, site: SiteId) -> CallToken {
-        match plan.site(site) {
-            Some(instr) => self.on_call_resolved(site, ResolvedSite::of(instr, plan.config().cpt)),
+    /// the site through `tables` and delegates to
+    /// [`DeltaState::on_call_resolved`]. An uninstrumented site returns an
+    /// inert token.
+    pub fn on_call<T: HookTables + ?Sized>(&mut self, tables: &T, site: SiteId) -> CallToken {
+        match tables.resolve_site(site) {
+            Some(r) => self.on_call_resolved(site, r),
             None => CallToken::inert(),
         }
     }
@@ -305,23 +380,19 @@ impl DeltaState {
     /// instrumented, `None` when control arrived from uninstrumented code
     /// (the real instrumentation has no caller argument; the check below
     /// reads the thread-local expectation exactly as the paper describes).
+    /// [`HookTables::resolve_entry`] filters it and classifies back edges.
     ///
     /// Returns what was pushed; pass it to [`DeltaState::on_exit`].
-    pub fn on_entry(
+    pub fn on_entry<T: HookTables + ?Sized>(
         &mut self,
-        plan: &EncodingPlan,
+        tables: &T,
         method: MethodId,
         via_site: Option<SiteId>,
     ) -> EntryOutcome {
-        let Some(entry) = plan.entry(method) else {
-            return EntryOutcome::Plain; // Uninstrumented method: no hooks.
-        };
-        let back_edge = via_site.is_some_and(|site| plan.is_back_edge_call(site, method));
-        self.on_entry_resolved(
-            method,
-            via_site,
-            ResolvedEntry::of(entry, plan.config().cpt, back_edge),
-        )
+        match tables.resolve_entry(method, via_site) {
+            Some((via, r)) => self.on_entry_resolved(method, via, r),
+            None => EntryOutcome::Plain, // Uninstrumented method: no hooks.
+        }
     }
 
     /// Callee-side hook with the entry instruction already resolved

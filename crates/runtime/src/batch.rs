@@ -28,7 +28,8 @@ use deltapath_core::{BatchState, CompiledPlan, EncodedContext, HookWord};
 use deltapath_ir::{MethodId, SiteId};
 use deltapath_telemetry::{names, Log2Histogram, Recorder, Telemetry};
 
-use crate::encoder::{report_op_counts, Capture, ContextEncoder, OpCounts};
+use crate::encoder::{Capture, ContextEncoder, OpCounts};
+use crate::encoders::report_delta_telemetry;
 
 /// Default buffer capacity in hook words. Large enough that the kernel's
 /// per-batch setup amortizes away, small enough that a batch stays in L1
@@ -218,18 +219,14 @@ impl ContextEncoder for BatchedDeltaEncoder<'_> {
     }
 
     fn report_telemetry(&self, sink: &dyn Telemetry) {
-        let name = self.name();
         let c = self.state.counts();
-        report_op_counts(sink, name, &self.counts());
-        sink.gauge_max(&format!("encoder.{name}.stack_hwm"), c.stack_hwm);
-        sink.counter_add(&format!("encoder.{name}.ucp_detections"), c.ucp_detections);
-        sink.counter_add(
-            &format!("encoder.{name}.push_pop_imbalance"),
-            c.pushes.saturating_sub(c.pops),
-        );
-        sink.gauge_max(
-            &format!("encoder.{name}.table_bytes"),
-            self.compiled.table_bytes() as u64,
+        report_delta_telemetry(
+            sink,
+            self.name(),
+            &self.counts(),
+            c.stack_hwm,
+            c.ucp_detections,
+            Some(self.compiled.table_bytes()),
         );
         sink.counter_add(names::ENCODER_BATCHED_FLUSHES, self.flushes);
         sink.counter_add(names::ENCODER_BATCHED_HOOKS, self.hooks);
@@ -249,7 +246,7 @@ impl ContextEncoder for BatchedDeltaEncoder<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compiled::CompiledDeltaEncoder;
+    use crate::encoders::CompiledDeltaEncoder;
     use deltapath_core::{EncodingPlan, PlanConfig};
     use deltapath_ir::{MethodKind, Program, ProgramBuilder};
 

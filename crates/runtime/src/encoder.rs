@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use deltapath_core::EncodedContext;
+use deltapath_core::{CallToken, EncodedContext, EntryOutcome, ResolvedEntry, ResolvedSite};
 use deltapath_ir::{MethodId, SiteId};
 use deltapath_telemetry::Telemetry;
 
@@ -89,6 +89,36 @@ impl OpCounts {
         ]
         .into_iter()
         .fold(0u64, u64::saturating_add)
+    }
+
+    /// Meters a DeltaPath call through a resolved site: the `ID += av` of
+    /// an encoded site and the pending save of a tracked one.
+    #[inline(always)]
+    pub fn delta_call(&mut self, r: &ResolvedSite) {
+        self.adds += u64::from(r.encoded);
+        self.pending_saves += u64::from(r.save_pending);
+    }
+
+    /// Meters the matching return: the `ID -= av`, emitted only where the
+    /// call's addition was.
+    #[inline(always)]
+    pub fn delta_return(&mut self, token: &CallToken) {
+        self.subs += u64::from(token.encoded());
+    }
+
+    /// Meters a DeltaPath method entry: the SID check where the resolved
+    /// entry performs one, and the frame push where the entry pushed.
+    #[inline(always)]
+    pub fn delta_entry(&mut self, r: &ResolvedEntry, outcome: EntryOutcome) {
+        self.sid_checks += u64::from(r.do_check);
+        self.pushes += u64::from(outcome.pushed());
+    }
+
+    /// Meters a DeltaPath method exit: the pop of the frame its entry
+    /// pushed.
+    #[inline(always)]
+    pub fn delta_exit(&mut self, outcome: EntryOutcome) {
+        self.pops += u64::from(outcome.pushed());
     }
 }
 

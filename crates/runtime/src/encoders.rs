@@ -1,13 +1,15 @@
-//! Built-in encoders: native baseline, DeltaPath, and stack walking.
+//! Built-in encoders: native baseline, DeltaPath (over either plan form),
+//! and stack walking.
 //!
 //! (PCC, Breadcrumbs-lite and the calling-context tree live in
 //! `deltapath-baselines`.)
 
 use std::sync::Arc;
+use std::time::Instant;
 
-use deltapath_core::{DeltaState, EncodingPlan, EntryOutcome, ResolvedEntry, ResolvedSite};
+use deltapath_core::{CallToken, CompiledPlan, DeltaState, EncodingPlan, EntryOutcome, HookTables};
 use deltapath_ir::{MethodId, SiteId};
-use deltapath_telemetry::Telemetry;
+use deltapath_telemetry::{names, Counter, Log2Histogram, Recorder, Telemetry};
 
 use crate::encoder::{report_op_counts, Capture, ContextEncoder, OpCounts};
 
@@ -38,34 +40,139 @@ impl ContextEncoder for NullEncoder {
     }
 }
 
-/// The DeltaPath encoder: drives a [`DeltaState`] according to an
-/// [`EncodingPlan`] and meters every abstract operation the injected code
-/// would execute.
+/// 1-in-N latency sampling for a [`DeltaEncoder`]'s hooks.
+///
+/// The hot path must stay one array load per hook, so per-hook clock reads
+/// are out of the question. The sampler keeps a countdown; only every
+/// `period`-th hook reads the clock (twice) and records the elapsed time
+/// into the pre-resolved `profile.hook_ns` histogram — pre-resolved,
+/// because a name lookup or `dyn` dispatch per sample would dominate what
+/// is being measured. All other hooks pay one decrement and one branch.
+///
+/// The measured budget lives in `results/BENCH_telemetry_overhead.json`:
+/// sampled recording must stay within 5% of the `NullTelemetry` hook
+/// throughput (enforced by `telemetry_overhead --smoke` in CI).
 #[derive(Debug)]
-pub struct DeltaEncoder<'p> {
-    plan: &'p EncodingPlan,
+pub struct HookSampler {
+    period: u32,
+    countdown: u32,
+    pending: Option<Instant>,
+    hist: Arc<Log2Histogram>,
+    samples: Arc<Counter>,
+}
+
+impl HookSampler {
+    /// A sampler recording every `period`-th hook (clamped to ≥ 1) into
+    /// `recorder`'s `profile.hook_ns` histogram and `profile.hook_samples`
+    /// counter; the configured period is stamped into the
+    /// `profile.hook_period` gauge.
+    pub fn new(recorder: &Recorder, period: u32) -> Self {
+        let period = period.max(1);
+        recorder
+            .gauge(names::PROFILE_HOOK_PERIOD)
+            .observe(u64::from(period));
+        Self {
+            period,
+            countdown: period,
+            pending: None,
+            hist: recorder.histogram(names::PROFILE_HOOK_NS),
+            samples: recorder.counter(names::PROFILE_HOOK_SAMPLES),
+        }
+    }
+
+    /// The configured sampling period N.
+    pub fn period(&self) -> u32 {
+        self.period
+    }
+
+    /// Samples taken so far.
+    pub fn samples(&self) -> u64 {
+        self.samples.get()
+    }
+
+    /// Hook prologue: one decrement and one (almost always untaken) branch.
+    #[inline(always)]
+    fn begin(&mut self) {
+        self.countdown -= 1;
+        if self.countdown == 0 {
+            self.arm();
+        }
+    }
+
+    /// Hook epilogue: one load and one (almost always untaken) branch.
+    #[inline(always)]
+    fn end(&mut self) {
+        if self.pending.is_some() {
+            self.flush();
+        }
+    }
+
+    #[cold]
+    fn arm(&mut self) {
+        self.countdown = self.period;
+        self.pending = Some(Instant::now());
+    }
+
+    #[cold]
+    fn flush(&mut self) {
+        if let Some(started) = self.pending.take() {
+            let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            self.hist.record(ns);
+            self.samples.add(1);
+        }
+    }
+}
+
+/// The DeltaPath encoder: drives a [`DeltaState`] through the
+/// instructions of a [`HookTables`] form and meters every abstract
+/// operation the injected code would execute.
+///
+/// Over an [`EncodingPlan`] (the default) every hook probes the plan's
+/// hash maps: this is the reference oracle. Over a [`CompiledPlan`]
+/// ([`CompiledDeltaEncoder`]) every hook is one bounds-checked array load
+/// and no hashing: what a deployment would run. The two are the same code
+/// and produce the same captures, op counts and UCP detections (pinned by
+/// the `compiled_plan` differential suite). The return hook consults no
+/// table at all: the [`CallToken`] produced at the call carries the
+/// resolved instruction across.
+#[derive(Debug)]
+pub struct DeltaEncoder<'p, T: HookTables = EncodingPlan> {
+    tables: &'p T,
     state: DeltaState,
     counts: OpCounts,
     stack_hwm: usize,
     ucp_detections: u64,
+    sampler: Option<HookSampler>,
 }
 
-impl<'p> DeltaEncoder<'p> {
-    /// Creates an encoder for `plan`. The state is initialized lazily by
+/// DeltaPath over a [`CompiledPlan`]'s dense dispatch tables.
+pub type CompiledDeltaEncoder<'p> = DeltaEncoder<'p, CompiledPlan>;
+
+impl<'p, T: HookTables> DeltaEncoder<'p, T> {
+    /// Creates an encoder over `tables`. The state is initialized lazily by
     /// [`thread_start`](ContextEncoder::thread_start).
-    pub fn new(plan: &'p EncodingPlan) -> Self {
+    pub fn new(tables: &'p T) -> Self {
         Self {
-            plan,
-            state: DeltaState::start(plan.entry_method()),
+            tables,
+            state: DeltaState::start(tables.entry_method()),
             counts: OpCounts::default(),
             stack_hwm: 0,
             ucp_detections: 0,
+            sampler: None,
         }
     }
 
-    /// The underlying plan.
-    pub fn plan(&self) -> &'p EncodingPlan {
-        self.plan
+    /// Attaches a [`HookSampler`]: every `period`-th hook is timed into
+    /// `profile.hook_ns`. Without one (the default) the hooks pay no
+    /// sampling cost at all beyond one branch on a `None`.
+    pub fn with_hook_sampler(mut self, sampler: HookSampler) -> Self {
+        self.sampler = Some(sampler);
+        self
+    }
+
+    /// The attached sampler, if any.
+    pub fn hook_sampler(&self) -> Option<&HookSampler> {
+        self.sampler.as_ref()
     }
 
     /// The current encoding state (e.g. to snapshot outside observation
@@ -86,68 +193,79 @@ impl<'p> DeltaEncoder<'p> {
     pub fn ucp_detections(&self) -> u64 {
         self.ucp_detections
     }
+
+    #[inline(always)]
+    fn sample_start(&mut self) {
+        if let Some(s) = &mut self.sampler {
+            s.begin();
+        }
+    }
+
+    #[inline(always)]
+    fn sample_end(&mut self) {
+        if let Some(s) = &mut self.sampler {
+            s.end();
+        }
+    }
+
+    #[inline]
+    fn entry_hook(&mut self, method: MethodId, via_site: Option<SiteId>) -> EntryOutcome {
+        let Some((via, r)) = self.tables.resolve_entry(method, via_site) else {
+            return EntryOutcome::Plain;
+        };
+        let outcome = self.state.on_entry_resolved(method, via, r);
+        self.counts.delta_entry(&r, outcome);
+        if outcome.pushed() {
+            self.stack_hwm = self.stack_hwm.max(self.state.depth());
+            self.ucp_detections += u64::from(outcome == EntryOutcome::PushedUcp);
+        }
+        outcome
+    }
 }
 
-impl ContextEncoder for DeltaEncoder<'_> {
-    type CallToken = Option<deltapath_core::CallToken>;
+impl<T: HookTables> ContextEncoder for DeltaEncoder<'_, T> {
+    type CallToken = Option<CallToken>;
     type EntryToken = EntryOutcome;
 
     fn thread_start(&mut self, entry: MethodId) {
         self.state.restart(entry);
     }
 
+    #[inline]
     fn on_call(&mut self, site: SiteId) -> Self::CallToken {
-        let instr = self.plan.site(site)?;
-        let r = ResolvedSite::of(instr, self.plan.config().cpt);
-        if r.encoded {
-            self.counts.adds += 1;
-        }
-        if r.save_pending {
-            self.counts.pending_saves += 1;
-        }
-        Some(self.state.on_call_resolved(site, r))
+        self.sample_start();
+        let token = self.tables.resolve_site(site).map(|r| {
+            self.counts.delta_call(&r);
+            self.state.on_call_resolved(site, r)
+        });
+        self.sample_end();
+        token
     }
 
+    #[inline]
     fn on_return(&mut self, _site: SiteId, token: Self::CallToken) {
-        let Some(token) = token else { return };
-        // The matching `ID -= av` of the call — emitted only where the
-        // addition was (encoded sites). The token carries the resolved
-        // instruction, so the return side needs no plan lookup at all.
-        if token.encoded() {
-            self.counts.subs += 1;
+        self.sample_start();
+        if let Some(token) = token {
+            self.counts.delta_return(&token);
+            self.state.on_return(token);
         }
-        self.state.on_return(token);
+        self.sample_end();
     }
 
+    #[inline]
     fn on_entry(&mut self, method: MethodId, via_site: Option<SiteId>) -> EntryOutcome {
-        let Some(entry) = self.plan.entry(method) else {
-            return EntryOutcome::Plain;
-        };
-        // Only instrumented dispatching sites count as "via" — a site in an
-        // uninstrumented caller has no injected code, so the entry hook sees
-        // only the thread-local expectation.
-        let via = via_site.filter(|&s| self.plan.site(s).is_some());
-        let back_edge = via.is_some_and(|s| self.plan.is_back_edge_call(s, method));
-        let r = ResolvedEntry::of(entry, self.plan.config().cpt, back_edge);
-        if r.do_check {
-            self.counts.sid_checks += 1;
-        }
-        let outcome = self.state.on_entry_resolved(method, via, r);
-        if outcome.pushed() {
-            self.counts.pushes += 1;
-            self.stack_hwm = self.stack_hwm.max(self.state.depth());
-            if outcome == EntryOutcome::PushedUcp {
-                self.ucp_detections += 1;
-            }
-        }
+        self.sample_start();
+        let outcome = self.entry_hook(method, via_site);
+        self.sample_end();
         outcome
     }
 
+    #[inline]
     fn on_exit(&mut self, _method: MethodId, token: EntryOutcome) {
-        if token.pushed() {
-            self.counts.pops += 1;
-        }
+        self.sample_start();
+        self.counts.delta_exit(token);
         self.state.on_exit(token);
+        self.sample_end();
     }
 
     fn observe(&mut self, at: MethodId) -> Capture {
@@ -159,27 +277,43 @@ impl ContextEncoder for DeltaEncoder<'_> {
     }
 
     fn name(&self) -> &'static str {
-        if self.plan.config().cpt {
-            "deltapath"
-        } else {
-            "deltapath-nocpt"
-        }
+        self.tables.encoder_name()
     }
 
     fn report_telemetry(&self, sink: &dyn Telemetry) {
-        let name = self.name();
-        report_op_counts(sink, name, &self.counts);
-        sink.gauge_max(&format!("encoder.{name}.stack_hwm"), self.stack_hwm as u64);
-        sink.counter_add(
-            &format!("encoder.{name}.ucp_detections"),
+        report_delta_telemetry(
+            sink,
+            self.name(),
+            &self.counts,
+            self.stack_hwm as u64,
             self.ucp_detections,
+            self.tables.table_bytes(),
         );
-        // A nonzero imbalance means the run ended mid-call-tree (error or
-        // abort): pushes without their matching pops.
-        sink.counter_add(
-            &format!("encoder.{name}.push_pop_imbalance"),
-            self.counts.pushes.saturating_sub(self.counts.pops),
-        );
+    }
+}
+
+/// Reports a DeltaPath encoder's op counts and its gauge block under
+/// `encoder.<name>.*`: the stack high-water mark, the UCP detections, the
+/// push/pop imbalance and, for a dense form, the table footprint.
+pub(crate) fn report_delta_telemetry(
+    sink: &dyn Telemetry,
+    name: &str,
+    counts: &OpCounts,
+    stack_hwm: u64,
+    ucp_detections: u64,
+    table_bytes: Option<usize>,
+) {
+    report_op_counts(sink, name, counts);
+    sink.gauge_max(&format!("encoder.{name}.stack_hwm"), stack_hwm);
+    sink.counter_add(&format!("encoder.{name}.ucp_detections"), ucp_detections);
+    // A nonzero imbalance means the run ended mid-call-tree (error or
+    // abort): pushes without their matching pops.
+    sink.counter_add(
+        &format!("encoder.{name}.push_pop_imbalance"),
+        counts.pushes.saturating_sub(counts.pops),
+    );
+    if let Some(bytes) = table_bytes {
+        sink.gauge_max(&format!("encoder.{name}.table_bytes"), bytes as u64);
     }
 }
 
@@ -293,6 +427,130 @@ impl ContextEncoder for StackWalkEncoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use deltapath_core::PlanConfig;
+    use deltapath_ir::{MethodKind, Program, ProgramBuilder};
+
+    fn program() -> Program {
+        let mut b = ProgramBuilder::new("compiled-enc");
+        let c = b.add_class("C", None);
+        b.method(c, "leaf", MethodKind::Static).finish();
+        let main = b
+            .method(c, "main", MethodKind::Static)
+            .body(|f| {
+                f.call(c, "leaf");
+                f.call(c, "leaf");
+            })
+            .finish();
+        b.entry(main);
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn mirrors_map_based_encoder_hook_for_hook() {
+        let p = program();
+        let plan = EncodingPlan::analyze(&p, &PlanConfig::default()).unwrap();
+        let compiled = plan.compile();
+        let mut map = DeltaEncoder::new(&plan);
+        let mut tab = CompiledDeltaEncoder::new(&compiled);
+        let main = p.entry();
+        let leaf = p
+            .declared_method(
+                p.class_by_name("C").unwrap(),
+                p.symbols().lookup("leaf").unwrap(),
+            )
+            .unwrap();
+        let site = p.sites().iter().find(|s| s.caller() == main).unwrap().id();
+        map.thread_start(main);
+        tab.thread_start(main);
+        let tm = map.on_call(site);
+        let tc = tab.on_call(site);
+        let em = map.on_entry(leaf, Some(site));
+        let ec = tab.on_entry(leaf, Some(site));
+        assert_eq!(em, ec);
+        assert_eq!(map.observe(leaf), tab.observe(leaf));
+        map.on_exit(leaf, em);
+        tab.on_exit(leaf, ec);
+        map.on_return(site, tm);
+        tab.on_return(site, tc);
+        assert_eq!(map.counts(), tab.counts());
+        assert_eq!(map.state().id(), tab.state().id());
+    }
+
+    #[test]
+    fn names_reflect_cpt_mode() {
+        let p = program();
+        let on = EncodingPlan::analyze(&p, &PlanConfig::default()).unwrap();
+        let off = EncodingPlan::analyze(&p, &PlanConfig::default().with_cpt(false)).unwrap();
+        let (con, coff) = (on.compile(), off.compile());
+        assert_eq!(DeltaEncoder::new(&on).name(), "deltapath");
+        assert_eq!(DeltaEncoder::new(&off).name(), "deltapath-nocpt");
+        assert_eq!(CompiledDeltaEncoder::new(&con).name(), "compiled");
+        assert_eq!(CompiledDeltaEncoder::new(&coff).name(), "compiled-nocpt");
+    }
+
+    #[test]
+    fn hook_sampler_records_one_in_n() {
+        let p = program();
+        let plan = EncodingPlan::analyze(&p, &PlanConfig::default()).unwrap();
+        let compiled = plan.compile();
+        let recorder = Recorder::new();
+        let mut e =
+            CompiledDeltaEncoder::new(&compiled).with_hook_sampler(HookSampler::new(&recorder, 4));
+        e.thread_start(p.entry());
+        let main = p.entry();
+        let site = p.sites().iter().find(|s| s.caller() == main).unwrap().id();
+        let leaf = p
+            .declared_method(
+                p.class_by_name("C").unwrap(),
+                p.symbols().lookup("leaf").unwrap(),
+            )
+            .unwrap();
+        for _ in 0..10 {
+            let t = e.on_call(site);
+            let en = e.on_entry(leaf, Some(site));
+            e.on_exit(leaf, en);
+            e.on_return(site, t);
+        }
+        // 40 hooks at period 4 → exactly 10 samples.
+        let sampler = e.hook_sampler().expect("sampler attached");
+        assert_eq!(sampler.period(), 4);
+        assert_eq!(sampler.samples(), 10);
+        assert_eq!(recorder.histogram(names::PROFILE_HOOK_NS).count(), 10);
+        assert_eq!(
+            recorder.gauge(names::PROFILE_HOOK_PERIOD).get(),
+            4,
+            "period stamped as gauge"
+        );
+        // Sampling must not perturb the encoding.
+        let plan2 = EncodingPlan::analyze(&p, &PlanConfig::default()).unwrap();
+        let mut oracle = DeltaEncoder::new(&plan2);
+        oracle.thread_start(p.entry());
+        for _ in 0..10 {
+            let t = oracle.on_call(site);
+            let en = oracle.on_entry(leaf, Some(site));
+            oracle.on_exit(leaf, en);
+            oracle.on_return(site, t);
+        }
+        assert_eq!(oracle.counts(), e.counts());
+        assert_eq!(oracle.state().id(), e.state().id());
+    }
+
+    #[test]
+    fn uninstrumented_points_are_no_ops() {
+        let p = program();
+        let plan = EncodingPlan::analyze(&p, &PlanConfig::default()).unwrap();
+        let compiled = plan.compile();
+        let mut e = CompiledDeltaEncoder::new(&compiled);
+        e.thread_start(p.entry());
+        let bogus_site = SiteId::from_index(4_096);
+        let bogus_method = MethodId::from_index(4_096);
+        let t = e.on_call(bogus_site);
+        assert!(t.is_none());
+        assert_eq!(e.on_entry(bogus_method, None), EntryOutcome::Plain);
+        e.on_return(bogus_site, t);
+        assert_eq!(e.counts(), OpCounts::default());
+        assert_eq!(e.state().id(), 0);
+    }
 
     #[test]
     fn null_encoder_costs_nothing() {

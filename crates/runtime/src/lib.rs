@@ -10,12 +10,12 @@
 //!
 //! * [`NullEncoder`] — the native baseline;
 //! * [`DeltaEncoder`] — DeltaPath, driving the state machine from
-//!   `deltapath-core` according to an
-//!   [`EncodingPlan`](deltapath_core::EncodingPlan);
-//! * [`CompiledDeltaEncoder`] — the same technique over a
+//!   `deltapath-core` through either plan form: an
+//!   [`EncodingPlan`](deltapath_core::EncodingPlan)'s maps (the reference
+//!   oracle) or, as [`CompiledDeltaEncoder`], a
 //!   [`CompiledPlan`](deltapath_core::CompiledPlan)'s dense dispatch
-//!   tables: one array load per hook, no hashing (the deployment-shaped
-//!   hot path; the map-based encoder is the reference oracle);
+//!   tables (one array load per hook, no hashing: the deployment-shaped
+//!   hot path);
 //! * [`BatchedDeltaEncoder`] — the same technique again, but buffering
 //!   hooks as packed [`HookWord`](deltapath_core::HookWord)s and pushing
 //!   slices through the branchless batch kernel
@@ -73,7 +73,6 @@
 
 mod batch;
 mod collect;
-mod compiled;
 mod encoder;
 mod encoders;
 mod profile;
@@ -82,9 +81,10 @@ mod vm;
 
 pub use batch::{BatchedDeltaEncoder, DEFAULT_BATCH_CAPACITY};
 pub use collect::{Collector, ContextStats, EventLog, NullCollector, RelativeCollector};
-pub use compiled::{CompiledDeltaEncoder, HookSampler};
 pub use encoder::{report_op_counts, Capture, ContextEncoder, CostModel, OpCounts};
-pub use encoders::{DeltaEncoder, NullEncoder, StackWalkEncoder};
+pub use encoders::{
+    CompiledDeltaEncoder, DeltaEncoder, HookSampler, NullEncoder, StackWalkEncoder,
+};
 pub use profile::{fold_path, ContextProfile};
 pub use shard::{ShardHandle, ShardedCollector, DEFAULT_BATCH, DEFAULT_SHARDS};
 pub use vm::{CollectMode, RunStats, Vm, VmConfig, VmError};

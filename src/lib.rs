@@ -106,7 +106,7 @@ pub use deltapath_callgraph::{
 pub use deltapath_core::{
     fast_hash, parse_plan, render_plan, render_plan_string, BatchCounts, BatchState, CompiledPlan,
     DecodeError, DecodeOptions, Decoder, DeltaState, EncodeError, EncodedContext, EncodingPlan,
-    EncodingWidth, FastBuildHasher, FastHasher, Frame, FrameStack, FrameTag, HookWord,
+    EncodingWidth, FastBuildHasher, FastHasher, Frame, FrameStack, FrameTag, HookTables, HookWord,
     ImportedPlan, PlanConfig, PlanParseError, Sid, PLAN_SCHEMA,
 };
 pub use deltapath_ir::{

@@ -95,7 +95,7 @@ fn concurrent_vm_threads_merge_to_the_sequential_stats() {
                     .with_collect(CollectMode::Entries)
                     .with_entry_param(param),
             );
-            vm.run(&mut DeltaEncoder::new(&plan), &mut sequential)
+            vm.run(&mut DeltaEncoder::new(&*plan), &mut sequential)
                 .expect("sequential run");
         }
 
@@ -112,7 +112,7 @@ fn concurrent_vm_threads_merge_to_the_sequential_stats() {
                             .with_collect(CollectMode::Entries)
                             .with_entry_param(param),
                     );
-                    vm.run(&mut DeltaEncoder::new(&plan), &mut handle)
+                    vm.run(&mut DeltaEncoder::new(&*plan), &mut handle)
                         .expect("threaded run");
                     // The handle flushes its tail on drop.
                 });

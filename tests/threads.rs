@@ -41,7 +41,7 @@ fn threads_share_a_plan_and_decode_independently() {
                         .with_collect(CollectMode::ObservesOnly)
                         .with_entry_param(thread_param),
                 );
-                let mut encoder = DeltaEncoder::new(&plan);
+                let mut encoder = DeltaEncoder::new(&*plan);
                 let mut log = EventLog::default();
                 vm.run(&mut encoder, &mut log).expect("run");
                 // Decode everything inside the thread.
