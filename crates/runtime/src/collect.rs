@@ -163,7 +163,8 @@ impl ContextStats {
         Self::default()
     }
 
-    /// Number of distinct captured values.
+    /// Number of distinct captured contexts ([`Capture::None`] is never
+    /// one).
     pub fn unique_contexts(&self) -> usize {
         self.unique.len()
     }
@@ -219,7 +220,7 @@ impl ContextStats {
 
     fn absorb(&mut self, true_depth: usize, capture: Capture) {
         self.absorb_counts(true_depth, delta_parts(&capture));
-        self.unique.insert(capture);
+        self.insert_unique(capture);
     }
 
     /// The counter-only half of [`absorb`](Self::absorb): everything
@@ -241,8 +242,11 @@ impl ContextStats {
     }
 
     /// Adds `capture` to the distinct set without touching counters.
+    /// [`Capture::None`] is no context, so it is never counted.
     pub(crate) fn insert_unique(&mut self, capture: Capture) {
-        self.unique.insert(capture);
+        if !matches!(capture, Capture::None) {
+            self.unique.insert(capture);
+        }
     }
 }
 
@@ -264,7 +268,7 @@ impl Collector for ContextStats {
     fn record_observe(&mut self, _event: u32, _method: MethodId, capture: Capture) {
         // Observation points contribute to uniqueness too, with unknown
         // depth attribution left to entry records.
-        self.unique.insert(capture);
+        self.insert_unique(capture);
     }
 
     fn report_telemetry(&self, sink: &dyn Telemetry) {
@@ -311,6 +315,18 @@ mod tests {
         assert!((s.avg_depth() - 4.0).abs() < 1e-9);
         assert_eq!(s.max_stack_depth, 2);
         assert_eq!(s.max_id, 9);
+    }
+
+    #[test]
+    fn empty_captures_are_not_unique_contexts() {
+        let mut s = ContextStats::new();
+        s.record_entry(MethodId::from_index(1), 2, Capture::None);
+        s.record_observe(0, MethodId::from_index(1), Capture::None);
+        assert_eq!(s.total_contexts, 1);
+        assert_eq!(s.unique_contexts(), 0);
+        s.record_entry(MethodId::from_index(1), 2, delta_capture(5, 1));
+        s.record_observe(0, MethodId::from_index(1), Capture::Pcc(7));
+        assert_eq!(s.unique_contexts(), 2);
     }
 
     #[test]
